@@ -7,6 +7,9 @@ one level up, in :mod:`confdeform.domain`.
 
 from __future__ import annotations
 
+import threading
+from functools import cached_property
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -115,16 +118,126 @@ def pairwise_distances(adj, vertices, tighten=True):
     raise RuntimeError("min-plus closure failed to stabilise")
 
 
-def drop_incident_edges(n_vertices, edge_u, edge_v, edge_len, blocked, keep=()):
-    """Adjacency with every edge touching a blocked vertex removed.
+def drop_incident_edges(n_vertices, edge_u, edge_v, edge_len, blocked):
+    """Source-directed adjacency: every edge *into* a blocked vertex is dropped.
 
-    ``keep`` lists blocked vertices that should stay connected anyway (used
-    for queries that start or end at such a vertex).  Blocked vertices remain
-    as isolated rows so indexing is unchanged.
+    A blocked vertex keeps its out-edges, so a run may leave one but never
+    enter one: from a blocked root it is the graph without the other blocked
+    vertices.  Rows of unblocked vertices are those of the undirected graph
+    with the blocked vertices removed, entry for entry.
     """
     blocked_mask = np.zeros(n_vertices, dtype=bool)
     blocked_mask[np.asarray(blocked, dtype=np.int64)] = True
-    for v in keep:
-        blocked_mask[int(v)] = False
-    ok = ~(blocked_mask[edge_u] | blocked_mask[edge_v])
-    return build_adjacency(n_vertices, edge_u[ok], edge_v[ok], edge_len[ok])
+    fwd = ~blocked_mask[edge_v]
+    bwd = ~blocked_mask[edge_u]
+    rows = np.concatenate([edge_u[fwd], edge_v[bwd]])
+    cols = np.concatenate([edge_v[fwd], edge_u[bwd]])
+    vals = np.concatenate([edge_len[fwd], edge_len[bwd]])
+    return csr_matrix((vals, (rows, cols)), shape=(n_vertices, n_vertices))
+
+
+class MetricView:
+    """Queries through the open domain under one edge-length assignment.
+
+    Owns the full CSR and the source-directed interior CSR of
+    :func:`drop_incident_edges`.  Pair queries root at the smaller index on
+    the directed matrix.  A boundary target, never entered, takes the
+    minimum of ``dist[u] + w(u, t)`` over its neighbours in the full CSR,
+    where other boundary vertices hold ``inf``; paths are extracted there
+    too.  Runs are bounded by a known upper bound on the answer or else,
+    given ``first_limit``, by limits growing fourfold from it, and fall back
+    to a full run; a bounded run is exact wherever it reaches.  Pair answers
+    and the latest run's array are kept, no array per root (5 MB each at
+    641k vertices).
+    """
+
+    MEMO_SIZE = 256
+
+    def __init__(self, n_vertices, edge_u, edge_v, edge_len, boundary_idx,
+                 first_limit=None):
+        self._edges = (n_vertices, edge_u, edge_v, edge_len)
+        self.boundary_mask = np.zeros(n_vertices, dtype=bool)
+        self.boundary_mask[boundary_idx] = True
+        # limits for a query with no known bound: fourfold from first_limit,
+        # below the total edge length (which bounds every finite distance),
+        # at most the largest 12 so that a tiny first_limit stays cheap
+        self._schedule, limit, total = [], first_limit, float(np.sum(edge_len))
+        while limit is not None and 0.0 < limit < total:
+            self._schedule.append(limit)
+            limit *= 4.0
+        del self._schedule[:-12]
+        self._memo = {}  # (root, other) -> distance, oldest first
+        self._lock = threading.Lock()
+        self._last = None  # (root, limit, dist) of the latest run
+
+    @cached_property
+    def full(self):
+        return build_adjacency(*self._edges)
+
+    @cached_property
+    def interior(self):
+        return drop_incident_edges(*self._edges, np.flatnonzero(self.boundary_mask))
+
+    def run(self, root, limit=np.inf):
+        """Distances from ``root`` on the interior matrix, reusing the latest run."""
+        root = int(root)
+        last = self._last
+        if last is None or last[:2] != (root, limit):
+            dist = distances_from(self.interior, root, limit=limit)
+            last = self._last = (root, limit, dist)
+        return last[2]
+
+    def known(self, ia, ib):
+        """Memoised distance between two indices, or None."""
+        return self._memo.get((min(ia, ib), max(ia, ib)))
+
+    def distance(self, ia, ib, bound=None):
+        """Distance between two indices, ``inf`` when not connected.
+        ``bound``, a known upper bound on it, only limits the run."""
+        if ia == ib:
+            return 0.0
+        value = self.known(ia, ib)
+        return self._reach(ia, ib, bound)[3] if value is None else value
+
+    def geodesic(self, ia, ib, bound=None):
+        """(distance, path from ``ia`` to ``ib``) for distinct indices; the
+        path is None when they are not connected."""
+        known = self.known(ia, ib)
+        root, other, dist, value = self._reach(
+            ia, ib, bound if known is None else known)
+        if not np.isfinite(value):
+            return value, None
+        if self.boundary_mask[other]:
+            dist = dist.copy()
+            dist[other] = value
+        path = extract_path(self.full, dist, root, other)
+        return value, (path if path[0] == ia else path[::-1].copy())
+
+    def _target_value(self, dist, other):
+        if not self.boundary_mask[other]:
+            return float(dist[other])
+        lo, hi = self.full.indptr[other], self.full.indptr[other + 1]
+        return float(np.min(dist[self.full.indices[lo:hi]] + self.full.data[lo:hi],
+                            initial=np.inf))
+
+    def _reach(self, ia, ib, bound):
+        """(root, other, dist, value) of a run rooted at the smaller index
+        that reaches the other one, or of a full run."""
+        root, other = min(int(ia), int(ib)), max(int(ia), int(ib))
+        # a curve length summed in another order may sit a few ulps below the
+        # run's value; the slack only widens the run
+        limits = self._schedule if bound is None else [bound * (1.0 + 1e-9)]
+        last = self._last
+        if last is not None and last[0] == root:
+            # the latest run from this root answers if it reached the target
+            limits = [last[1]] + [lim for lim in limits if lim > last[1]]
+        for limit in limits + [np.inf]:
+            dist = self.run(root, limit)
+            value = self._target_value(dist, other)
+            if value <= limit:
+                break
+        with self._lock:
+            self._memo[(root, other)] = value
+            if len(self._memo) > self.MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+        return root, other, dist, value

@@ -305,17 +305,9 @@ def build_parser():
     _add_common(geo, vertex_args=True)
     geo.set_defaults(func=cmd_geodesic)
 
-    cons = subs.add_parser("constants", help="derived constants bundle")
-    cons.add_argument("--weight", required=True)
-    cons.add_argument("--cu", type=float, default=None)
-    cons.add_argument("--cq", type=float, default=None)
-    cons.add_argument("--domain", default=None,
-                      help="estimate cu/cq from this domain when not given")
-    cons.add_argument("--quad", default="subdivided:4")
-    cons.add_argument("--samples", type=int, default=200)
-    cons.add_argument("--seed", type=int, default=0)
-    cons.add_argument("--tol", default="auto")
-    cons.add_argument("--out", default=None)
+    cons = subs.add_parser("constants", help="derived constants bundle; "
+                           "cu/cq not given are estimated from --domain")
+    _add_common(cons, domain_required=False)
     cons.set_defaults(func=cmd_constants)
 
     syn = subs.add_parser("synthesize", help="produce a candidate uniform curve")

@@ -141,16 +141,9 @@ def _endpoint_distance(curve, deformed):
             raise CurveError("distance to infinity is only defined when deformed")
         # conservative choice: the low end of the interval inflates the ratio
         return curve.estimate.lower
-    a, b = curve.start_id, curve.end_id
     if deformed:
-        return dd.dphi_distance(a, b)
-    ia, ib = dd.domain.index(a), dd.domain.index(b)
-    root, other = min(ia, ib), max(ia, ib)
-    bmask = dd.domain.boundary_mask
-    extra = [i for i in (ia, ib) if bmask[i]]
-    adj = dd.domain.adjacency_allowing(extra) if extra else dd.domain.adjacency_interior
-    dist = _graphs.distances_from(adj, root)
-    val = float(dist[other])
+        return dd.dphi_distance(curve.start_id, curve.end_id)
+    val = dd.domain.view.distance(int(curve.vertices[0]), int(curve.vertices[-1]))
     if not np.isfinite(val):
         raise CurveError("curve endpoints are not connected through the open domain")
     return val
@@ -163,6 +156,34 @@ def _arm_lengths(incr):
     return np.minimum(left, right)
 
 
+def _uniformity(curve, metric, endpoint_distance, boundary_values):
+    """(least uniformity constant, witness naming the ratio that sets it)."""
+    incr, total, deformed = _metric_arrays(curve, metric)
+    if endpoint_distance is None:
+        endpoint_distance = _endpoint_distance(curve, deformed)
+    if endpoint_distance <= 0:
+        raise CurveError("endpoint distance must be positive")
+    constant = total / endpoint_distance
+    witness = {"kind": "detour", "ratio": constant}
+    if len(curve) > 2:
+        if boundary_values is None:
+            boundary_values = (curve.dd.boundary_field_phi if deformed
+                               else curve.dd.field.values)
+        clearance = boundary_values[curve.vertices[1:-1]]
+        if (clearance <= 0).any():
+            raise CurveError("curve passes through a boundary vertex")
+        ratios = _arm_lengths(incr) / clearance
+        worst = int(np.argmax(ratios))
+        if ratios[worst] > constant:
+            constant = float(ratios[worst])
+            witness = {
+                "kind": "clearance",
+                "vertex": curve.dd.domain.vertex_id(curve.vertices[worst + 1]),
+                "ratio": constant,
+            }
+    return constant, witness
+
+
 def uniformity_constant(curve, metric="phi", endpoint_distance=None,
                         boundary_values=None):
     """Least C for which the curve is C-uniform in the chosen metric.
@@ -171,22 +192,7 @@ def uniformity_constant(curve, metric="phi", endpoint_distance=None,
     (or base) distances of the owning domain; overrides let callers reuse
     precomputed fields.
     """
-    incr, total, deformed = _metric_arrays(curve, metric)
-    if endpoint_distance is None:
-        endpoint_distance = _endpoint_distance(curve, deformed)
-    if endpoint_distance <= 0:
-        raise CurveError("endpoint distance must be positive")
-    quasi = total / endpoint_distance
-    cigar = 0.0
-    if len(curve) > 2:
-        if boundary_values is None:
-            boundary_values = (curve.dd.boundary_field_phi if deformed
-                               else curve.dd.field.values)
-        clearance = boundary_values[curve.vertices[1:-1]]
-        if (clearance <= 0).any():
-            raise CurveError("curve passes through a boundary vertex")
-        cigar = float((_arm_lengths(incr) / clearance).max())
-    return max(quasi, cigar)
+    return _uniformity(curve, metric, endpoint_distance, boundary_values)[0]
 
 
 @dataclass(frozen=True)
@@ -204,30 +210,8 @@ def check_uniform(curve, bound, metric="phi", tolerance=0.0,
     On failure the witness names the violated ratio: the detour ratio, or
     the interior vertex with the worst clearance ratio.
     """
-    incr, total, deformed = _metric_arrays(curve, metric)
-    if endpoint_distance is None:
-        endpoint_distance = _endpoint_distance(curve, deformed)
-    if endpoint_distance <= 0:
-        raise CurveError("endpoint distance must be positive")
-    quasi = total / endpoint_distance
-    witness = {"kind": "detour", "ratio": quasi}
-    constant = quasi
-    if len(curve) > 2:
-        if boundary_values is None:
-            boundary_values = (curve.dd.boundary_field_phi if deformed
-                               else curve.dd.field.values)
-        clearance = boundary_values[curve.vertices[1:-1]]
-        if (clearance <= 0).any():
-            raise CurveError("curve passes through a boundary vertex")
-        ratios = _arm_lengths(incr) / clearance
-        worst = int(np.argmax(ratios))
-        if ratios[worst] > constant:
-            constant = float(ratios[worst])
-            witness = {
-                "kind": "clearance",
-                "vertex": curve.dd.domain.vertex_id(curve.vertices[worst + 1]),
-                "ratio": constant,
-            }
+    constant, witness = _uniformity(curve, metric, endpoint_distance,
+                                    boundary_values)
     passed = constant <= bound * (1.0 + tolerance)
     return UniformityCheck(passed=passed, constant=constant, bound=bound,
                            witness={} if passed else witness)
@@ -249,14 +233,10 @@ def subcurve_excess_ratio(curve, metric="phi"):
     n = len(curve)
     if n < 3:
         return 1.0
-    if deformed:
-        bvals = dd.boundary_field_phi
-        adj = dd._query_adjacency((curve.vertices[0], curve.vertices[-1]))
-    else:
-        bvals = dd.field.values
-        adj = dd.domain.adjacency_interior
-    dist_a = _graphs.distances_from(adj, curve.vertices[0])
-    dist_b = _graphs.distances_from(adj, curve.vertices[-1])
+    view = dd.view if deformed else dd.domain.view
+    bvals = dd.boundary_field_phi if deformed else dd.field.values
+    dist_a = view.run(curve.vertices[0])
+    dist_b = view.run(curve.vertices[-1])
     left = np.concatenate([[0.0], np.cumsum(incr)])
     clearance = bvals[curve.vertices]
     worst = whole

@@ -88,8 +88,10 @@ class DeformedDomain:
             field.values[domain.edge_u], field.values[domain.edge_v],
             domain.edge_len, weight, self.quadrature, h / 2.0,
         )
-        self._adj_phi = None
-        self._adj_phi_interior = None
+        self.view = _graphs.MetricView(
+            domain.n_vertices, domain.edge_u, domain.edge_v, self.edge_len_phi,
+            domain.boundary_idx,
+        )
         self._bdry_field_phi = None
         self._frontier_field_phi = None
 
@@ -97,84 +99,47 @@ class DeformedDomain:
 
     @property
     def adjacency_phi(self):
-        if self._adj_phi is None:
-            self._adj_phi = _graphs.build_adjacency(
-                self.domain.n_vertices, self.domain.edge_u, self.domain.edge_v,
-                self.edge_len_phi,
-            )
-        return self._adj_phi
+        return self.view.full
 
     @property
     def adjacency_phi_interior(self):
-        if self._adj_phi_interior is None:
-            self._adj_phi_interior = _graphs.drop_incident_edges(
-                self.domain.n_vertices, self.domain.edge_u, self.domain.edge_v,
-                self.edge_len_phi, self.domain.boundary_idx,
-            )
-        return self._adj_phi_interior
-
-    def _adj_phi_allowing(self, endpoints):
-        return _graphs.drop_incident_edges(
-            self.domain.n_vertices, self.domain.edge_u, self.domain.edge_v,
-            self.edge_len_phi, self.domain.boundary_idx, keep=endpoints,
-        )
-
-    def _query_adjacency(self, idx_pair):
-        """Adjacency for a two-endpoint query.
-
-        Interior endpoints use the interior view (curves between interior
-        points stay in the open domain); boundary endpoints are re-attached
-        for this query only.
-        """
-        bmask = self.domain.boundary_mask
-        extra = [i for i in idx_pair if bmask[i]]
-        if extra:
-            return self._adj_phi_allowing(extra)
-        return self.adjacency_phi_interior
+        return self.view.interior
 
     # -- distance and geodesic queries ----------------------------------------
 
-    def _rooted_run(self, idx_a, idx_b):
-        """Distances rooted at the smaller index of the pair.
-
-        Rooting at min(a, b) makes the query order irrelevant, so the
-        reported distance is exactly symmetric.
-        """
-        root, other = (idx_a, idx_b) if idx_a <= idx_b else (idx_b, idx_a)
-        adj = self._query_adjacency((idx_a, idx_b))
-        dist = _graphs.distances_from(adj, root)
-        if not np.isfinite(dist[other]):
-            raise DeformError(
-                f"vertices {self.domain.vertex_id(idx_a)} and "
-                f"{self.domain.vertex_id(idx_b)} are not connected through "
-                "the open domain"
-            )
-        return adj, dist, root, other
-
-    def dphi_distance(self, x, y):
-        """Deformed distance between two vertex ids."""
+    def _query(self, x, y, bound):
+        """Indices and run bound; ``phi <= 1``, so a known ``d`` bounds ``d_phi``."""
         ix, iy = self.domain.index(x), self.domain.index(y)
-        if ix == iy:
-            return 0.0
-        _, dist, _, other = self._rooted_run(ix, iy)
-        return float(dist[other])
+        known = [b for b in (bound, self.domain.view.known(ix, iy)) if b is not None]
+        return ix, iy, min(known, default=None)
 
-    def dphi_geodesic(self, x, y):
+    def dphi_distance(self, x, y, bound=None):
+        """Deformed distance between two vertex ids.  ``bound``, a known upper
+        bound such as the deformed length of a curve between them, only
+        limits the search."""
+        ix, iy, bound = self._query(x, y, bound)
+        val = self.view.distance(ix, iy, bound)
+        if not math.isfinite(val):
+            raise DeformError(f"vertices {x} and {y} are not connected "
+                              "through the open domain")
+        return val
+
+    def dphi_geodesic(self, x, y, bound=None):
         """Shortest curve in the deformed metric, as a :class:`Curve`.
 
         The curve is oriented from x to y; its deformed length equals
-        ``dphi_distance(x, y)`` bitwise.
+        ``dphi_distance(x, y)`` bitwise.  ``bound`` is as for
+        :meth:`dphi_distance`.
         """
         from .curves import Curve
 
-        ix, iy = self.domain.index(x), self.domain.index(y)
+        ix, iy, bound = self._query(x, y, bound)
         if ix == iy:
             raise DeformError("geodesic endpoints must differ")
-        adj, dist, root, other = self._rooted_run(ix, iy)
-        path = _graphs.extract_path(adj, dist, root, other)
-        total_phi = float(dist[other])
-        if path[0] != ix:
-            path = path[::-1].copy()
+        total_phi, path = self.view.geodesic(ix, iy, bound)
+        if path is None:
+            raise DeformError(f"vertices {x} and {y} are not connected "
+                              "through the open domain")
         return Curve.from_indices(self, path, total_phi=total_phi)
 
     # -- cached distance fields ------------------------------------------------
@@ -240,29 +205,22 @@ class DeformedDomain:
         ix = self.domain.index(x)
         if self.domain.frontier_idx.size == 0:
             raise DeformError("domain has no frontier; nothing escapes to infinity")
-        if self.domain.boundary_mask[ix]:
-            adj = self._adj_phi_allowing([ix])
-            dist = _graphs.distances_from(adj, ix)
-            frontier_d = dist[self.domain.frontier_idx]
-            if not np.isfinite(frontier_d).any():
-                raise DeformError("frontier unreachable from this vertex")
-            big_d = float(frontier_d.min())
+        if self.view.boundary_mask[ix]:
+            big_d = float(self.view.run(ix)[self.domain.frontier_idx].min())
         else:
             big_d = float(self.frontier_field_phi[ix])
-            if not math.isfinite(big_d):
-                raise DeformError("frontier unreachable from this vertex")
+        if not math.isfinite(big_d):
+            raise DeformError("frontier unreachable from this vertex")
         m = int(self.field.shells[ix])
         big_m = self.frontier_shell
         esc_low = self.weight.integral_tail(self.frontier_min_depth)
         esc_high = self.weight.tail_sum(max(big_m - 1, 0))
         lower = max(big_d + esc_low, (5.0 / 11.0) * self.weight.tail_sum(m + 1))
         upper = big_d + esc_high
-        if lower > upper:
-            # cannot happen when the escape model holds; keep the interval valid
-            lower = upper
+        clamped = lower > upper  # only when the escape model fails
         return InfinityEstimate(
-            vertex=int(x), lower=lower, upper=upper, frontier_dphi=big_d,
-            shell=m, frontier_shell=big_m,
+            vertex=int(x), lower=min(lower, upper), upper=upper,
+            frontier_dphi=big_d, shell=m, frontier_shell=big_m, clamped=clamped,
         )
 
 
@@ -276,6 +234,7 @@ class InfinityEstimate:
     frontier_dphi: float
     shell: int
     frontier_shell: int
+    clamped: bool = False  # lower was raised past upper and cut back to it
 
     @property
     def midpoint(self):

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from . import _graphs
 
@@ -62,8 +63,7 @@ class MetricDomain:
         self.boundary_idx = np.asarray(self.boundary_idx, dtype=np.int64)
         self.frontier_idx = np.asarray(self.frontier_idx, dtype=np.int64)
         self._id_to_idx = None
-        self._adjacency = None
-        self._adjacency_interior = None
+        self._view = None
         self._boundary_field = None
         self.validate()
 
@@ -124,50 +124,35 @@ class MetricDomain:
     # -- adjacency views ---------------------------------------------------
 
     @property
+    def view(self):
+        """Base-metric view; its runs grow their limit from eight mesh sizes."""
+        if self._view is None:
+            self._view = _graphs.MetricView(
+                self.n_vertices, self.edge_u, self.edge_v, self.edge_len,
+                self.boundary_idx,
+                first_limit=8.0 * self.mesh_size if self.n_edges else None,
+            )
+        return self._view
+
+    @property
     def adjacency(self):
         """Full CSR adjacency, boundary vertices included."""
-        if self._adjacency is None:
-            self._adjacency = _graphs.build_adjacency(
-                self.n_vertices, self.edge_u, self.edge_v, self.edge_len
-            )
-        return self._adjacency
+        return self.view.full
 
     @property
     def adjacency_interior(self):
-        """Adjacency with boundary vertices isolated.
-
-        Interior paths must stay in the open domain, so queries between
-        interior vertices run on this view.  Frontier vertices stay.
-        """
-        if self._adjacency_interior is None:
-            self._adjacency_interior = _graphs.drop_incident_edges(
-                self.n_vertices, self.edge_u, self.edge_v, self.edge_len,
-                self.boundary_idx,
-            )
-        return self._adjacency_interior
-
-    def adjacency_allowing(self, endpoint_indices):
-        """Interior adjacency that additionally keeps the given boundary
-        vertices connected, for queries with a boundary endpoint."""
-        return _graphs.drop_incident_edges(
-            self.n_vertices, self.edge_u, self.edge_v, self.edge_len,
-            self.boundary_idx, keep=endpoint_indices,
-        )
+        """Source-directed interior adjacency: no edge enters a boundary
+        vertex.  Interior paths must stay in the open domain, so queries run
+        on this view.  Frontier vertices are ordinary interior vertices."""
+        return self.view.interior
 
     def distance(self, x, y):
         """Graph distance between two ids through the open domain.
 
         Rooted at the smaller index so the result is exactly symmetric in
-        the arguments.  Boundary endpoints are re-attached for the query.
+        the arguments.  Boundary endpoints may start or end the path.
         """
-        ix, iy = self.index(x), self.index(y)
-        if ix == iy:
-            return 0.0
-        bmask = self.boundary_mask
-        extra = [i for i in (ix, iy) if bmask[i]]
-        adj = self.adjacency_allowing(extra) if extra else self.adjacency_interior
-        dist = _graphs.distances_from(adj, min(ix, iy))
-        val = float(dist[max(ix, iy)])
+        val = self.view.distance(self.index(x), self.index(y))
         if not np.isfinite(val):
             raise DomainError(
                 f"vertices {x} and {y} are not connected through the open domain"
@@ -199,9 +184,10 @@ class MetricDomain:
             raise DomainError("domain needs at least one boundary vertex")
         if np.intersect1d(self.boundary_idx, self.frontier_idx).size:
             raise DomainError("boundary and frontier vertices overlap")
-        # connectivity of the full graph
-        comp = _graphs.min_distance_field(self.adjacency, [0])
-        if not np.isfinite(comp).all():
+        # csr_matrix sums repeats: a listed-twice edge would count double
+        if self.adjacency.nnz != 2 * self.n_edges:
+            raise DomainError("an undirected edge is listed more than once")
+        if connected_components(self.adjacency, directed=False)[0] != 1:
             raise DomainError("graph is not connected")
 
     def to_dict(self):

@@ -78,30 +78,27 @@ def uniform_curve_d(dd, x, y):
     ix, iy = domain.index(x), domain.index(y)
     if ix == iy:
         raise SynthesisError("curve endpoints must differ")
-    bmask = domain.boundary_mask
-    extra = [i for i in (ix, iy) if bmask[i]]
-    adj = domain.adjacency_allowing(extra) if extra else domain.adjacency_interior
-    root, other = min(ix, iy), max(ix, iy)
-    dist = _graphs.distances_from(adj, root)
-    if not np.isfinite(dist[other]):
+    total_d, path = domain.view.geodesic(ix, iy)
+    if path is None:
         raise SynthesisError("endpoints are not connected through the open domain")
-    path = _graphs.extract_path(adj, dist, root, other)
-    if path[0] != ix:
-        path = path[::-1].copy()
-    return Curve.from_indices(dd, path, total_d=float(dist[other]))
+    return Curve.from_indices(dd, path, total_d=total_d)
+
+
+def _geodesic_to_frontier(dd, view, start_idx):
+    """Vertex path from a vertex index to the nearest frontier vertex under
+    one metric's view, and its length."""
+    dist = view.run(start_idx)
+    fr = dd.domain.frontier_idx
+    if not np.isfinite(dist[fr]).any():
+        raise SynthesisError("frontier unreachable from the start vertex")
+    best = int(fr[int(np.argmin(dist[fr]))])
+    return _graphs.extract_path(view.full, dist, start_idx, best), float(dist[best])
 
 
 def _phi_geodesic_to_frontier(dd, start_idx):
     """Deformed geodesic from a vertex index to the cheapest frontier vertex."""
-    adj = dd.adjacency_phi_interior
-    dist = _graphs.distances_from(adj, int(start_idx))
-    fr = dd.domain.frontier_idx
-    vals = dist[fr]
-    if not np.isfinite(vals).any():
-        raise SynthesisError("frontier unreachable in the deformed metric")
-    best = int(fr[int(np.argmin(vals))])
-    path = _graphs.extract_path(adj, dist, int(start_idx), best)
-    return Curve.from_indices(dd, path, total_phi=float(dist[best])), dist
+    path, total_phi = _geodesic_to_frontier(dd, dd.view, start_idx)
+    return Curve.from_indices(dd, path, total_phi=total_phi)
 
 
 def _maybe_rebundle(dd, bundle, base_curve, notes):
@@ -174,7 +171,8 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
             curve = beta
             notes["degenerate_splice"] = True
         else:
-            middle = dd.dphi_geodesic(domain.vertex_id(z1), domain.vertex_id(z2))
+            middle = dd.dphi_geodesic(domain.vertex_id(z1), domain.vertex_id(z2),
+                                      bound=float(np.sum(beta.incr_phi[first:last])))
             curve = beta_slice(beta, 0, first).concat(middle) if first > 0 else middle
             if last < len(beta) - 1:
                 curve = curve.concat(beta_slice(beta, last, len(beta) - 1))
@@ -210,7 +208,7 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
     if first == 0:
         curve = dd.dphi_geodesic(a, b)
     else:
-        tail = dd.dphi_geodesic(z1_id, b)
+        tail = dd.dphi_geodesic(z1_id, b, bound=float(np.sum(beta.incr_phi[first:])))
         curve = beta_slice(beta, 0, first).concat(tail)
     if curve.start_id != int(x):
         curve = curve.reverse()
@@ -237,33 +235,26 @@ def _synthesize_to_infinity(dd, bundle, x):
     notes = {"shells": [m]}
 
     if m >= bundle.m0:
-        curve, _ = _phi_geodesic_to_frontier(dd, ix)
-        curve = Curve(dd, curve.vertices, curve.incr_d, curve.incr_phi,
-                      curve.total_d, curve.total_phi, to_infinity=True,
-                      estimate=estimate)
+        path, total_phi = _geodesic_to_frontier(dd, dd.view, ix)
+        curve = Curve.from_indices(dd, path, total_phi=total_phi,
+                                   to_infinity=True, estimate=estimate)
         measured = uniformity_constant(curve, "phi")
         return SynthesisResult(curve=curve, case="to_infinity_deep",
                                predicted=1331.0 / 669.0, measured=measured,
                                x=int(x), y=None, notes=notes)
 
     # shallow start: base-metric escape to the frontier
-    fr_d = _graphs.distances_from(domain.adjacency_interior, ix)
-    fvals = fr_d[domain.frontier_idx]
-    if not np.isfinite(fvals).any():
-        raise SynthesisError("frontier unreachable in the base metric")
-    target = int(domain.frontier_idx[int(np.argmin(fvals))])
-    path = _graphs.extract_path(domain.adjacency_interior, fr_d, ix, target)
-    beta = Curve.from_indices(dd, path, total_d=float(fr_d[target]))
+    path, total_d = _geodesic_to_frontier(dd, domain.view, ix)
+    beta = Curve.from_indices(dd, path, total_d=total_d)
     bundle = _maybe_rebundle(dd, bundle, beta, notes)
 
     # smallest shell at or past m0+n0 whose every vertex is at deformed
     # distance at least the crossing threshold from x; fall back to m0+n0
     threshold = bundle.t_small * bundle.lam
-    dist_phi = _graphs.distances_from(dd.adjacency_phi_interior, ix)
+    dist_phi = dd.view.run(ix)
     shells = dd.field.shells
     k_star = bundle.m0 + bundle.n0
-    max_shell = int(shells.max())
-    for cand in range(bundle.m0 + bundle.n0, max_shell + 1):
+    for cand in range(bundle.m0 + bundle.n0, int(shells.max()) + 1):
         members = np.nonzero(shells == cand)[0]
         members = members[np.isfinite(dist_phi[members])]
         if members.size and dist_phi[members].min() >= threshold:
@@ -271,23 +262,17 @@ def _synthesize_to_infinity(dd, bundle, x):
             break
     notes["k_star"] = k_star
 
-    beta_shells = shells[beta.vertices]
-    past = beta_shells >= k_star
-    if past.any():
-        cut = int(np.argmax(past))
-    else:
-        cut = len(beta) - 1
+    past = shells[beta.vertices] >= k_star
+    cut = int(np.argmax(past)) if past.any() else len(beta) - 1
     if cut == len(beta) - 1:
         # the base escape reaches the frontier without ever clearing the
         # threshold shell (or only at its endpoint); it is the whole curve
         combined = beta
     elif cut == 0:
-        tail_curve, _ = _phi_geodesic_to_frontier(dd, ix)
-        combined = tail_curve
+        combined = _phi_geodesic_to_frontier(dd, ix)
     else:
-        z = beta.vertices[cut]
-        tail_curve, _ = _phi_geodesic_to_frontier(dd, int(z))
-        combined = beta_slice(beta, 0, cut).concat(tail_curve)
+        tail = _phi_geodesic_to_frontier(dd, int(beta.vertices[cut]))
+        combined = beta_slice(beta, 0, cut).concat(tail)
     curve = Curve(dd, combined.vertices, combined.incr_d, combined.incr_phi,
                   combined.total_d, combined.total_phi, to_infinity=True,
                   estimate=estimate)
@@ -310,8 +295,10 @@ def beta_slice(curve, i, j):
     )
 
 
-def _stratified_interior(dd, rng, count, min_shell=0, skip_frontier=False):
-    """Sample interior vertex indices spread across shells."""
+def shell_groups(dd, min_shell=0, deep_side=False, skip_frontier=False):
+    """Interior vertex indices grouped by shell, as (shell, members) pairs,
+    optionally without the frontier or only the deeper quarter of each shell
+    (distance at least three quarters of the shell top)."""
     shells = dd.field.shells
     keep = ~dd.domain.boundary_mask
     if skip_frontier:
@@ -320,14 +307,22 @@ def _stratified_interior(dd, rng, count, min_shell=0, skip_frontier=False):
     groups = []
     for s in range(min_shell, int(shells.max()) + 1):
         members = interior[shells[interior] == s]
+        if deep_side and s >= 1:
+            members = members[dd.field.values[members] >= 0.75 * 2.0 ** s]
         if members.size:
-            groups.append(members)
+            groups.append((s, members))
+    return groups
+
+
+def stratified_pick(groups, rng, count, start=0):
+    """One random member of each group in turn, from group ``start`` on,
+    until ``count`` vertex indices are drawn."""
     if not groups:
         raise SynthesisError("no interior vertices in the requested shells")
     picks = []
-    gi = 0
+    gi = start
     while len(picks) < count:
-        members = groups[gi % len(groups)]
+        _, members = groups[gi % len(groups)]
         picks.append(int(rng.choice(members)))
         gi += 1
     return picks
@@ -349,8 +344,8 @@ def predicted_vs_measured(dd, bundle, n_pairs=200, n_to_infinity=0, seed=0,
     rng = np.random.default_rng(seed)
     domain = dd.domain
     rows = []
-    xs = _stratified_interior(dd, rng, n_pairs)
-    ys = _stratified_interior(dd, rng, n_pairs)
+    xs = stratified_pick(shell_groups(dd), rng, n_pairs)
+    ys = stratified_pick(shell_groups(dd), rng, n_pairs)
     interior = np.nonzero(~domain.boundary_mask)[0]
     for ix, iy in zip(xs, ys):
         while iy == ix:
@@ -358,7 +353,8 @@ def predicted_vs_measured(dd, bundle, n_pairs=200, n_to_infinity=0, seed=0,
         res = synthesize(dd, bundle, domain.vertex_id(ix), domain.vertex_id(iy))
         rows.append(res.to_dict())
     if n_to_infinity and domain.frontier_idx.size:
-        for ix in _stratified_interior(dd, rng, n_to_infinity, skip_frontier=True):
+        starts = shell_groups(dd, skip_frontier=True)
+        for ix in stratified_pick(starts, rng, n_to_infinity):
             res = synthesize(dd, bundle, domain.vertex_id(ix), to_infinity=True)
             rows.append(res.to_dict())
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _graphs
 from .curves import subcurve_excess_ratio
-from .synthesis import uniform_curve_d
+from .synthesis import shell_groups, stratified_pick, uniform_curve_d
 
 
 @dataclass
@@ -72,33 +72,6 @@ def _record(witnesses, entry):
         witnesses.append(entry)
 
 
-def _shell_groups(dd, min_shell=0, deep_side=False):
-    """Interior vertex indices grouped by shell, optionally only the deeper
-    quarter of each shell (distance at least three quarters of the shell
-    top)."""
-    shells = dd.field.shells
-    values = dd.field.values
-    interior = np.nonzero(~dd.domain.boundary_mask)[0]
-    groups = []
-    for s in range(min_shell, int(shells[interior].max()) + 1):
-        members = interior[shells[interior] == s]
-        if deep_side and s >= 1:
-            members = members[values[members] >= 0.75 * 2.0 ** s]
-        if members.size:
-            groups.append((s, members))
-    return groups
-
-
-def _stratified_pick(groups, rng, count, start=0):
-    picks = []
-    gi = start
-    while len(picks) < count:
-        _, members = groups[gi % len(groups)]
-        picks.append(int(rng.choice(members)))
-        gi += 1
-    return picks
-
-
 # -- individual checkers -----------------------------------------------------
 
 
@@ -113,7 +86,7 @@ def check_crossing_levels(dd, n_samples=200, seed=0, tolerance=None):
     weight = dd.weight
     cphi2 = weight.c_phi ** 2
     adj = dd.adjacency_phi_interior
-    groups = _shell_groups(dd)
+    groups = shell_groups(dd)
     witnesses = []
     samples = excluded = violations = 0
     worst = 0.0
@@ -121,11 +94,11 @@ def check_crossing_levels(dd, n_samples=200, seed=0, tolerance=None):
     curves = []
     n_geo = n_samples // 2
     n_sources = max(1, n_geo // 10)
-    sources = _stratified_pick(groups, rng, n_sources)
+    sources = stratified_pick(groups, rng, n_sources)
     per_src = max(1, n_geo // n_sources)
     for s in sources:
         dist = _graphs.distances_from(adj, s)
-        targets = _stratified_pick(groups, rng, per_src)
+        targets = stratified_pick(groups, rng, per_src)
         for t in targets:
             if t == s or not np.isfinite(dist[t]):
                 continue
@@ -135,7 +108,7 @@ def check_crossing_levels(dd, n_samples=200, seed=0, tolerance=None):
     indptr, indices = adj.indptr, adj.indices
     data = adj.data
     while len(curves) < n_samples:
-        v = _stratified_pick(groups, rng, 1, start=len(curves))[0]
+        v = stratified_pick(groups, rng, 1, start=len(curves))[0]
         steps = int(rng.integers(40, 400))
         walk = [v]
         total = 0.0
@@ -198,7 +171,7 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
     adj_d = dd.domain.adjacency_interior
     thr_coef = min(10.0 / (11.0 * 4.0 * weight.c_phi ** 2),
                    10.0 / (22.0 * bundle.cq ** 2))
-    groups = _shell_groups(dd, deep_side=True)
+    groups = shell_groups(dd, deep_side=True)
     witnesses = []
     samples = excluded = violations = 0
     worst = 0.0
@@ -207,7 +180,7 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
     while samples < n_samples and attempts < max_attempts:
         # rotate the starting shell so deep shells get their turn even
         # though shallow ones are usually excluded by the threshold
-        x = _stratified_pick(groups, rng, 1, start=attempts)[0]
+        x = stratified_pick(groups, rng, 1, start=attempts)[0]
         attempts += 1
         m = int(shells[x])
         scale = weight.value(2.0 ** m) * 2.0 ** m
@@ -267,7 +240,7 @@ def check_dist_to_infty(dd, bundle, n_samples=200, seed=0, tolerance=None):
     rng = np.random.default_rng(seed)
     weight = dd.weight
     min_shell = bundle.n0 + 2
-    groups = _shell_groups(dd, min_shell=min_shell)
+    groups = shell_groups(dd, min_shell=min_shell)
     witnesses = []
     samples = violations = 0
     worst = 0.0
@@ -278,7 +251,7 @@ def check_dist_to_infty(dd, bundle, n_samples=200, seed=0, tolerance=None):
             worst_ratio=0.0, tolerance=tolerance, seed=seed,
             notes={"reason": f"no interior vertices in shells >= {min_shell}"},
         )
-    for x in _stratified_pick(groups, rng, n_samples):
+    for x in stratified_pick(groups, rng, n_samples):
         m = int(dd.field.shells[x])
         est = dd.dist_to_infinity(dd.domain.vertex_id(x))
         band_low = (5.0 / 11.0) * weight.tail_sum(m + 1)
@@ -320,12 +293,12 @@ def check_dist_pip_bdy(dd, bundle, n_samples=200, seed=0, tolerance=None):
     weight = dd.weight
     vals_phi = dd.boundary_field_phi
     vals_d = dd.field.values
-    groups = _shell_groups(dd)
+    groups = shell_groups(dd)
     witnesses = []
     samples = violations = 0
     worst = 0.0
     full = weight.tail_sum(0)
-    for x in _stratified_pick(groups, rng, n_samples):
+    for x in stratified_pick(groups, rng, n_samples):
         m = int(dd.field.shells[x])
         v = float(vals_phi[x])
         d0 = float(vals_d[x])
@@ -367,7 +340,7 @@ def check_large_bound(dd, bundle, n_samples=200, seed=0, tolerance=None):
     weight = dd.weight
     shells = dd.field.shells
     adj = dd.adjacency_phi_interior
-    groups = [(s, g) for s, g in _shell_groups(dd) if s <= bundle.m0]
+    groups = [(s, g) for s, g in shell_groups(dd) if s <= bundle.m0]
     witnesses = []
     samples = violations = 0
     worst = 0.0
@@ -378,12 +351,12 @@ def check_large_bound(dd, bundle, n_samples=200, seed=0, tolerance=None):
             notes={"reason": "no shells at or below m0"},
         )
     n_sources = max(2, n_samples // 14)
-    sources = _stratified_pick(groups, rng, n_sources)
+    sources = stratified_pick(groups, rng, n_sources)
     per_src = max(1, -(-n_samples // n_sources))
     deepest = int(max(s for s, _ in groups))
     for src in sources:
         dist = _graphs.distances_from(adj, src)
-        targets = _stratified_pick(groups, rng, per_src)
+        targets = stratified_pick(groups, rng, per_src)
         for t in targets:
             if t == src or not np.isfinite(dist[t]):
                 continue
@@ -578,10 +551,10 @@ def subcurve_excess_report(dd, n_curves=6, seed=0, tolerance=None):
     if tolerance is None:
         tolerance = default_tolerance(dd)
     rng = np.random.default_rng(seed)
-    groups = _shell_groups(dd)
+    groups = shell_groups(dd)
     rows = []
     for _ in range(n_curves):
-        a, b = _stratified_pick(groups, rng, 2)
+        a, b = stratified_pick(groups, rng, 2)
         if a == b:
             continue
         curve = uniform_curve_d(dd, dd.domain.vertex_id(a), dd.domain.vertex_id(b))

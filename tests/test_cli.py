@@ -237,3 +237,18 @@ def test_bad_input_exits_2(argv, fragment):
     assert code == 2
     assert err.startswith("error: ")
     assert fragment in err
+
+
+def test_repeated_edge_in_domain_file_exits_2(tmp_path):
+    path = str(tmp_path / "strip.json")
+    assert run(["generate", "--spec", "strip:width=2,h=0.5", "--out", path])[0] == 0
+    with open(path) as fh:
+        record = json.load(fh)
+    u, v, w = record["edges"][0]
+    record["edges"].append([v, u, w])
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+    code, _, err = run(["distance", "--domain", path, "--weight", W,
+                        "--from", f"id:{u}", "--to", f"id:{v}"])
+    assert code == 2
+    assert "more than once" in err

@@ -256,6 +256,20 @@ def test_dist_to_infinity_from_boundary():
     assert math.isfinite(est_b.upper)
 
 
+def test_dist_to_infinity_flags_a_clamped_interval(monkeypatch):
+    d = half_plane(width=4, depth=8, h=0.5, conn=8)
+    dd = deform(d, W2)
+    x = d.nearest_vertex(0.0, 2.0)
+    est = dd.dist_to_infinity(x)
+    assert not est.clamped and est.lower < est.upper
+    # a broken escape model: the upper escape cost vanishes below the lower
+    monkeypatch.setattr(WeightFunction, "tail_sum", lambda self, m: 0.0)
+    est = dd.dist_to_infinity(x)
+    assert est.clamped
+    assert est.lower == est.upper == est.frontier_dphi
+    assert set(est.to_dict()) == {"x", "lower", "upper", "frontier_shell"}
+
+
 def test_dist_to_infinity_requires_frontier():
     s = strip(width=3, h=0.5, conn=4)
     dd = deform(s, W2)

@@ -209,6 +209,19 @@ def test_validation_rejects_bad_data():
             MetricDomain(**kw)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=3, max_value=9), st.integers(min_value=0, max_value=10_000),
+       st.booleans())
+def test_repeated_edge_is_rejected(n, seed, reversed_copy):
+    # summed into one matrix entry, the pair would read as one edge of
+    # twice the length
+    record = path_domain(np.arange(n, dtype=float)).to_dict()
+    u, v, w = record["edges"][np.random.default_rng(seed).integers(n - 1)]
+    record["edges"].append([v, u, w] if reversed_copy else [u, v, w])
+    with pytest.raises(DomainError, match="more than once"):
+        from_dict(record)
+
+
 # -- serialisation ------------------------------------------------------------
 
 

@@ -115,14 +115,21 @@ def test_pairwise_distances_exact_metric_axioms():
     assert np.allclose(mat[finite], raw[finite], rtol=1e-12, atol=0)
 
 
-def test_drop_incident_edges():
-    adj = _diamond()
+def test_drop_incident_edges_is_source_directed():
     eu = np.array([0, 1, 0, 2, 1])
     ev = np.array([1, 3, 2, 3, 2])
     ew = np.array([1.0, 1.0, 1.5, 1.5, 0.2])
     cut = _graphs.drop_incident_edges(4, eu, ev, ew, blocked=[1])
+    # no edge enters the blocked vertex, so runs from elsewhere avoid it
+    assert cut[:, [1]].nnz == 0
     dist = _graphs.distances_from(cut, 0)
     assert np.isinf(dist[1])
     assert dist[3] == 3.0  # forced through vertex 2
-    kept = _graphs.drop_incident_edges(4, eu, ev, ew, blocked=[1], keep=[1])
-    assert (kept != adj).nnz == 0
+    # the blocked vertex keeps its out-edges: a run rooted there leaves it
+    assert (cut[[1]] != _diamond()[[1]]).nnz == 0
+    assert _graphs.distances_from(cut, 1).tolist() == [1.0, 0.0, 0.2, 1.0]
+    # rows of unblocked vertices equal those of the graph without vertex 1
+    keep = np.array([False, False, True, True, False])
+    without = _graphs.build_adjacency(4, eu[keep], ev[keep], ew[keep])
+    for v in (0, 2, 3):
+        assert (cut[[v]] != without[[v]]).nnz == 0
