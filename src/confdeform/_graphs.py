@@ -75,22 +75,35 @@ def extract_path(adj, dist, source, target):
     return np.asarray(path, dtype=np.int64)
 
 
+def edge_positions(adj, path):
+    """CSR position of each step of a vertex index sequence.
+
+    A binary search of every step's row at once; rows must hold sorted
+    column indices, as those of :func:`build_adjacency` do.  Matrices built
+    from one edge list share these positions.  Raises if two consecutive
+    vertices are not adjacent.
+    """
+    path = np.asarray(path, dtype=np.int64)
+    u, v = path[:-1], path[1:]
+    lo, end = adj.indptr[u].astype(np.int64), adj.indptr[u + 1].astype(np.int64)
+    hi, last = end.copy(), max(adj.nnz - 1, 0)
+    for _ in range(int(np.max(end - lo, initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        right = (lo < hi) & (adj.indices[np.minimum(mid, last)] < v)
+        lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+    missing = (lo == end) | (adj.indices[np.minimum(lo, last)] != v)
+    if missing.any():
+        i = int(missing.argmax())
+        raise ValueError(f"vertices {u[i]} and {v[i]} are not adjacent")
+    return lo
+
+
 def edge_lengths_along(adj, path):
     """Per-step edge lengths for a vertex index sequence.
 
     Raises if two consecutive vertices are not adjacent.
     """
-    path = np.asarray(path, dtype=np.int64)
-    out = np.empty(max(len(path) - 1, 0), dtype=np.float64)
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    for i in range(len(path) - 1):
-        u, v = path[i], path[i + 1]
-        row = indices[indptr[u]:indptr[u + 1]]
-        hit = np.nonzero(row == v)[0]
-        if hit.size == 0:
-            raise ValueError(f"vertices {u} and {v} are not adjacent")
-        out[i] = data[indptr[u] + hit[0]]
-    return out
+    return adj.data[edge_positions(adj, path)]
 
 
 def pairwise_distances(adj, vertices, tighten=True):

@@ -57,8 +57,10 @@ class Curve:
         pass the Dijkstra distance so lengths telescope exactly.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        incr_d = _graphs.edge_lengths_along(dd.domain.adjacency, indices)
-        incr_phi = _graphs.edge_lengths_along(dd.adjacency_phi, indices)
+        # both matrices come from one edge list, so one lookup serves both
+        steps = _graphs.edge_positions(dd.domain.adjacency, indices)
+        incr_d = dd.domain.adjacency.data[steps]
+        incr_phi = dd.adjacency_phi.data[steps]
         return cls(
             dd, indices, incr_d, incr_phi,
             float(np.sum(incr_d)) if total_d is None else total_d,
@@ -223,21 +225,28 @@ def subcurve_excess_ratio(curve, metric="phi"):
     Discrete geodesics need not pass their uniformity down to subcurves with
     the same constant; this measures how far prefixes and suffixes stray.
     Endpoint distances for the subcurves come from two rooted runs, one per
-    curve end.
+    curve end, bounded by the curve's length, which no subcurve's endpoint
+    distance exceeds.  The run from the smaller index, made last, also
+    answers the whole-curve distance.
     """
     dd = curve.dd
     if curve.to_infinity:
         raise CurveError("subcurve scan expects a two-endpoint curve")
-    incr, _, deformed = _metric_arrays(curve, metric)
-    whole = uniformity_constant(curve, metric)
-    n = len(curve)
-    if n < 3:
+    if len(curve) < 3:
         return 1.0
+    incr, total, deformed = _metric_arrays(curve, metric)
+    n = len(curve)
     view = dd.view if deformed else dd.domain.view
     bvals = dd.boundary_field_phi if deformed else dd.field.values
-    dist_a = view.run(curve.vertices[0])
-    dist_b = view.run(curve.vertices[-1])
     left = np.concatenate([[0.0], np.cumsum(incr)])
+    # the prefix sums may end a few ulps above the total; the view widens a
+    # bound by the factor used here, so its latest run serves the query
+    bound = max(total, left[-1])
+    a, b = int(curve.vertices[0]), int(curve.vertices[-1])
+    dist = {v: view.run(v, bound * (1.0 + 1e-9)) for v in sorted({a, b}, reverse=True)}
+    dist_a, dist_b = dist[a], dist[b]
+    whole = uniformity_constant(curve, metric,
+                                endpoint_distance=view.distance(a, b, bound))
     clearance = bvals[curve.vertices]
     worst = whole
     # prefixes [0..i], interior vertices 1..i-1

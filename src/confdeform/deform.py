@@ -108,9 +108,15 @@ class DeformedDomain:
     # -- distance and geodesic queries ----------------------------------------
 
     def _query(self, x, y, bound):
-        """Indices and run bound; ``phi <= 1``, so a known ``d`` bounds ``d_phi``."""
+        """Indices and run bound; ``phi <= 1``, so a known ``d`` bounds ``d_phi``.
+
+        With none known, a root in shell 0 probes eight mesh sizes first: a
+        run that misses the target goes on in full.  Deeper roots do not
+        probe, since a phi-ball there can cover most of the graph."""
         ix, iy = self.domain.index(x), self.domain.index(y)
         known = [b for b in (bound, self.domain.view.known(ix, iy)) if b is not None]
+        if not known and self.field.shells[min(ix, iy)] == 0:
+            known = [8.0 * self.domain.mesh_size]
         return ix, iy, min(known, default=None)
 
     def dphi_distance(self, x, y, bound=None):

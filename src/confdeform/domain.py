@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import contains, itemgetter
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -191,28 +193,83 @@ class MetricDomain:
             raise DomainError("graph is not connected")
 
     def to_dict(self):
-        verts = []
-        for i in range(self.n_vertices):
-            entry = {"id": int(self.ids[i])}
-            if self.coords is not None:
-                entry["xy"] = [float(self.coords[i, 0]), float(self.coords[i, 1])]
-            verts.append(entry)
-        edges = [
-            [int(self.ids[u]), int(self.ids[v]), float(w)]
-            for u, v, w in zip(self.edge_u, self.edge_v, self.edge_len)
-        ]
+        ids = self.ids.tolist()
+        if self.coords is None:
+            verts = [{"id": i} for i in ids]
+        else:
+            verts = [{"id": i, "xy": xy} for i, xy in zip(ids, self.coords.tolist())]
+        edges = zip(self.ids[self.edge_u].tolist(), self.ids[self.edge_v].tolist(),
+                    self.edge_len.tolist())
         return {
             "vertices": verts,
-            "edges": edges,
-            "boundary": [int(self.ids[i]) for i in self.boundary_idx],
-            "frontier": [int(self.ids[i]) for i in self.frontier_idx],
+            "edges": list(map(list, edges)),
+            "boundary": self.ids[self.boundary_idx].tolist(),
+            "frontier": self.ids[self.frontier_idx].tolist(),
             "meta": self.meta,
         }
 
     def save(self, path):
+        """Write the bytes of ``json.dump(self.to_dict(), fh, sort_keys=True,
+        indent=1)`` and a newline, list by list in blocks of records."""
+        ids = self.ids
+        meta = json.dumps(self.meta, sort_keys=True, indent=1).replace("\n", "\n ")
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write('{\n "boundary": ')
+            _write_records(fh, [ids[self.boundary_idx]], _SCALAR)
+            fh.write(',\n "edges": ')
+            _write_records(fh, [ids[self.edge_u], ids[self.edge_v], self.edge_len], _EDGE)
+            fh.write(',\n "frontier": ')
+            _write_records(fh, [ids[self.frontier_idx]], _SCALAR)
+            fh.write(f',\n "meta": {meta},\n "vertices": ')
+            if self.coords is None:
+                _write_records(fh, [ids], _ID)
+            else:
+                _write_records(fh, [ids, self.coords], _VERTEX)
+            fh.write("\n}\n")
+
+
+# Record layouts for MetricDomain.save: (brackets cut from the front and the
+# back of a block's compact JSON, text before the block, text after it,
+# replacements made in order).  They turn the compact JSON of a block of
+# records into the text json.dump(indent=1) gives those records two levels
+# deep.  Numbers hold no "," "[" or "]", so only structure gets replaced.
+_SCALAR = (1, 1, "  ", "", ((",", ",\n  "),))
+_ID = (1, 1, '  {\n   "id": ', "\n  }", ((",", '\n  },\n  {\n   "id": '),))
+_EDGE = (2, 2, "  [\n   ", "\n  ]",
+         ((",", ",\n   "), ("],\n   [", "\n  ],\n  [\n   ")))
+_VERTEX = (2, 3, '  {\n   "id": ', "\n   ]\n  }",
+           ((",", ",\n    "), ("]],\n    [", '\n   ]\n  },\n  {\n   "id": '),
+            (",\n    [", ',\n   "xy": [\n    ')))
+_BLOCK = 1 << 16
+
+
+def _write_records(fh, columns, layout):
+    """Write the rows zipped from ``columns`` as a list one level below the
+    top object.  Each block goes through the C encoder, which takes no
+    ``indent``, so no text or tree of the whole list is ever held."""
+    front, back, head, tail, swaps = layout
+    n = len(columns[0])
+    fh.write("[\n" if n else "[]")
+    for start in range(0, n, _BLOCK):
+        cols = [c[start:start + _BLOCK].tolist() for c in columns]
+        text = json.dumps(cols[0] if len(cols) == 1 else list(zip(*cols)),
+                          separators=(",", ":"))[front:-back]
+        for old, new in swaps:
+            text = text.replace(old, new)
+        fh.write((",\n" if start else "") + head + text + tail)
+    fh.write("\n ]" if n else "")
+
+
+def _integers(values, what):
+    """int64 array of JSON integers; anything else is named in the error."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise DomainError(f"{what} must be an integer, got {bad!r}")
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        raise DomainError(f"{what} does not fit in 64 bits") from None
 
 
 def from_dict(data):
@@ -223,34 +280,53 @@ def from_dict(data):
         raw_boundary = data["boundary"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"missing required domain field: {exc}") from exc
+    if any(type(f) is not list for f in (raw_vertices, raw_edges, raw_boundary,
+                                          data.get("frontier", []))):
+        raise DomainError("vertices, edges, boundary and frontier must be lists")
     if not raw_vertices:
         raise DomainError("domain has no vertices")
-    ids = np.array([v["id"] for v in raw_vertices], dtype=np.int64)
-    have_xy = [("xy" in v) for v in raw_vertices]
-    if all(have_xy):
-        coords = np.array([v["xy"] for v in raw_vertices], dtype=np.float64)
-    elif any(have_xy):
-        raise DomainError("either all vertices carry coordinates or none do")
-    else:
-        coords = None
-    id_to_idx = {int(v): i for i, v in enumerate(ids)}
-    if len(id_to_idx) != len(ids):
-        raise DomainError("vertex ids are not unique")
-
-    def lookup(vid):
+    try:
+        ids = _integers(map(itemgetter("id"), raw_vertices), "a vertex id")
+        n_xy = sum(map(contains, raw_vertices, repeat("xy")))
+    except (KeyError, TypeError):
+        raise DomainError('every vertex must be an object with an "id"') from None
+    coords = None
+    if n_xy == len(raw_vertices):
         try:
-            return id_to_idx[int(vid)]
-        except KeyError:
-            raise DomainError(f"edge or marker refers to unknown vertex id {vid}") from None
+            coords = np.array(list(map(itemgetter("xy"), raw_vertices)), np.float64)
+        except (TypeError, ValueError):
+            raise DomainError("vertex coordinates must be pairs of numbers") from None
+    elif n_xy:
+        raise DomainError("either all vertices carry coordinates or none do")
+    if not set(map(type, raw_edges)) <= {list} or not set(map(len, raw_edges)) <= {3}:
+        bad = next(e for e in raw_edges if type(e) is not list or len(e) != 3)
+        raise DomainError(f"edge {bad!r} is not a list [u, v, length]")
+    try:
+        edge_len = np.fromiter(map(itemgetter(2), raw_edges), np.float64,
+                               count=len(raw_edges))
+    except (TypeError, ValueError):
+        raise DomainError("edge lengths must be numbers") from None
+    # ids to indices: one sort, then a binary search per id (repeated ids
+    # fail validation)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
 
-    edge_u = np.array([lookup(e[0]) for e in raw_edges], dtype=np.int64)
-    edge_v = np.array([lookup(e[1]) for e in raw_edges], dtype=np.int64)
-    edge_len = np.array([e[2] for e in raw_edges], dtype=np.float64)
-    boundary = np.array([lookup(v) for v in raw_boundary], dtype=np.int64)
-    frontier = np.array([lookup(v) for v in data.get("frontier", [])], dtype=np.int64)
+    def lookup(values, what):
+        vids = _integers(values, what)
+        pos = np.minimum(np.searchsorted(sorted_ids, vids), len(ids) - 1)
+        unknown = sorted_ids[pos] != vids
+        if unknown.any():
+            raise DomainError("edge or marker refers to unknown vertex id "
+                              f"{vids[unknown.argmax()]}")
+        return order[pos]
+
     return MetricDomain(
-        ids=ids, coords=coords, edge_u=edge_u, edge_v=edge_v, edge_len=edge_len,
-        boundary_idx=boundary, frontier_idx=frontier, meta=data.get("meta", {}),
+        ids=ids, coords=coords, edge_len=edge_len,
+        edge_u=lookup(map(itemgetter(0), raw_edges), "an edge endpoint"),
+        edge_v=lookup(map(itemgetter(1), raw_edges), "an edge endpoint"),
+        boundary_idx=lookup(raw_boundary, "a boundary vertex id"),
+        frontier_idx=lookup(data.get("frontier", []), "a frontier vertex id"),
+        meta=data.get("meta", {}),
     )
 
 

@@ -19,7 +19,7 @@ import io
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,27 +31,26 @@ from .synthesis import shell_groups, stratified_pick, uniform_curve_d
 @dataclass
 class CheckReport:
     name: str
-    samples: int
-    violations: int
-    worst_ratio: float
     tolerance: float
     seed: int
+    samples: int = 0
+    violations: int = 0
+    worst_ratio: float = 0.0
     excluded: int = 0
     witnesses: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "excluded": self.excluded,
-            "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "witnesses": self.witnesses,
-            "notes": self.notes,
-        }
+        return asdict(self)
+
+    def score(self, ratio, witness, allowed=None):
+        """Fold one ratio in.  Past ``allowed`` (``1 + tolerance`` by default)
+        it is a violation, and the first few violations keep their witness."""
+        self.worst_ratio = max(self.worst_ratio, ratio)
+        if ratio > (1.0 + self.tolerance if allowed is None else allowed):
+            self.violations += 1
+            if len(self.witnesses) < _MAX_WITNESSES:
+                self.witnesses.append(witness)
 
 
 CHECK_NAMES = (
@@ -62,14 +61,9 @@ CHECK_NAMES = (
 _MAX_WITNESSES = 10
 
 
-def default_tolerance(dd):
-    """Global tolerance: ten mesh sizes (a factor 1 + 10h)."""
-    return 10.0 * dd.domain.mesh_size
-
-
-def _record(witnesses, entry):
-    if len(witnesses) < _MAX_WITNESSES:
-        witnesses.append(entry)
+def default_tolerance(dd, tolerance=None):
+    """``tolerance`` if given, else ten mesh sizes (a factor 1 + 10h)."""
+    return 10.0 * dd.domain.mesh_size if tolerance is None else tolerance
 
 
 # -- individual checkers -----------------------------------------------------
@@ -79,18 +73,14 @@ def check_crossing_levels(dd, n_samples=200, seed=0, tolerance=None):
     """Curves meeting both shell m and shell m+2 are at least as long as
     the crossing bound ``2**m * phi(2**m) / c_phi**2`` in the deformed
     metric.  Samples mix deformed geodesics with seeded random walks."""
-    if tolerance is None:
-        tolerance = default_tolerance(dd)
+    tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
     shells = dd.field.shells
     weight = dd.weight
     cphi2 = weight.c_phi ** 2
     adj = dd.adjacency_phi_interior
     groups = shell_groups(dd)
-    witnesses = []
-    samples = excluded = violations = 0
-    worst = 0.0
-
+    rep = CheckReport(name="crossing_levels", tolerance=tolerance, seed=seed)
     curves = []
     n_geo = n_samples // 2
     n_sources = max(1, n_geo // 10)
@@ -132,25 +122,18 @@ def check_crossing_levels(dd, n_samples=200, seed=0, tolerance=None):
                 tested = True
                 bound = 2.0 ** m * weight.value(2.0 ** m) / cphi2
                 ratio = bound / len_phi
-                worst = max(worst, ratio)
-                if ratio > 1.0 + tolerance:
-                    violations += 1
-                    _record(witnesses, {
-                        "kind": "crossing", "m": m, "len_phi": len_phi,
-                        "bound": bound, "ratio": ratio,
-                        "start": dd.domain.vertex_id(path[0]),
-                        "end": dd.domain.vertex_id(path[-1]),
-                    })
+                rep.score(ratio, {
+                    "kind": "crossing", "m": m, "len_phi": len_phi,
+                    "bound": bound, "ratio": ratio,
+                    "start": dd.domain.vertex_id(path[0]),
+                    "end": dd.domain.vertex_id(path[-1]),
+                })
         if tested:
-            samples += 1
+            rep.samples += 1
         else:
-            excluded += 1
-    return CheckReport(
-        name="crossing_levels", samples=samples, excluded=excluded,
-        violations=violations, worst_ratio=worst, tolerance=tolerance,
-        seed=seed, witnesses=witnesses,
-        notes={"curves": len(curves), "geodesics": n_from_geodesics},
-    )
+            rep.excluded += 1
+    rep.notes = {"curves": len(curves), "geodesics": n_from_geodesics}
+    return rep
 
 
 def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
@@ -161,8 +144,7 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
     The threshold shrinks with the shell scale, so shallow shells on a
     coarse grid hold no qualifying pairs; attempts there count as excluded.
     """
-    if tolerance is None:
-        tolerance = default_tolerance(dd)
+    tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
     weight = dd.weight
     shells = dd.field.shells
@@ -172,12 +154,9 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
     thr_coef = min(10.0 / (11.0 * 4.0 * weight.c_phi ** 2),
                    10.0 / (22.0 * bundle.cq ** 2))
     groups = shell_groups(dd, deep_side=True)
-    witnesses = []
-    samples = excluded = violations = 0
-    worst = 0.0
+    rep = CheckReport(name="nearby_points", tolerance=tolerance, seed=seed)
     attempts = 0
-    max_attempts = 8 * n_samples
-    while samples < n_samples and attempts < max_attempts:
+    while rep.samples < n_samples and attempts < 8 * n_samples:
         # rotate the starting shell so deep shells get their turn even
         # though shallow ones are usually excluded by the threshold
         x = stratified_pick(groups, rng, 1, start=attempts)[0]
@@ -189,7 +168,7 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
         cand = np.nonzero(np.isfinite(dist_phi) & (dist_phi > 0) & ~bmask)[0]
         cand = cand[dist_phi[cand] < thr]
         if cand.size == 0:
-            excluded += 1
+            rep.excluded += 1
             continue
         take = cand if cand.size <= 3 else rng.choice(cand, size=3, replace=False)
         limit_d = bundle.c_a * thr / weight.value(2.0 ** m) * (1.0 + tolerance) * 1.01
@@ -198,12 +177,10 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
             dphi = float(dist_phi[y])
             d = float(dist_d[y])
             phim = weight.value(2.0 ** m)
+            rep.samples += 1
             if not np.isfinite(d):
                 # the upper comparison already fails at the search limit
-                violations += 1
-                samples += 1
-                worst = np.inf
-                _record(witnesses, {
+                rep.score(np.inf, {
                     "kind": "upper", "x": dd.domain.vertex_id(x),
                     "y": dd.domain.vertex_id(int(y)), "m": m,
                     "d_phi": dphi, "d": None, "ratio": None,
@@ -213,44 +190,29 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
             r_lower = phim * d / (bundle.c_a * dphi)
             r_sharp = weight.value(2.0 ** (m + 1)) * d / (1.1 * dphi)
             ratio = max(r_upper, r_lower, r_sharp)
-            worst = max(worst, ratio)
-            samples += 1
-            if ratio > 1.0 + tolerance:
-                violations += 1
-                _record(witnesses, {
-                    "kind": "two-sided", "x": dd.domain.vertex_id(x),
-                    "y": dd.domain.vertex_id(int(y)), "m": m,
-                    "d_phi": dphi, "d": d, "ratio": ratio,
-                })
+            rep.score(ratio, {
+                "kind": "two-sided", "x": dd.domain.vertex_id(x),
+                "y": dd.domain.vertex_id(int(y)), "m": m,
+                "d_phi": dphi, "d": d, "ratio": ratio,
+            })
     branch = "cq<2cphi" if bundle.cq < 2.0 * weight.c_phi else "cq>=2cphi"
-    return CheckReport(
-        name="nearby_points", samples=samples, excluded=excluded,
-        violations=violations, worst_ratio=worst, tolerance=tolerance,
-        seed=seed, witnesses=witnesses,
-        notes={"threshold_branch": branch, "attempts": attempts},
-    )
+    rep.notes = {"threshold_branch": branch, "attempts": attempts}
+    return rep
 
 
 def check_dist_to_infty(dd, bundle, n_samples=200, seed=0, tolerance=None):
     """Infinity intervals for points in shells m >= n0+2 nest into the
     analytic band [(5/11) tail(m+1), cu*cphi*tail(m-n0)] within tolerance
     and intersect it outright."""
-    if tolerance is None:
-        tolerance = default_tolerance(dd)
+    tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
     weight = dd.weight
     min_shell = bundle.n0 + 2
     groups = shell_groups(dd, min_shell=min_shell)
-    witnesses = []
-    samples = violations = 0
-    worst = 0.0
-    excluded = 0
+    rep = CheckReport(name="dist_to_infty", tolerance=tolerance, seed=seed)
     if not groups:
-        return CheckReport(
-            name="dist_to_infty", samples=0, excluded=0, violations=0,
-            worst_ratio=0.0, tolerance=tolerance, seed=seed,
-            notes={"reason": f"no interior vertices in shells >= {min_shell}"},
-        )
+        rep.notes = {"reason": f"no interior vertices in shells >= {min_shell}"}
+        return rep
     for x in stratified_pick(groups, rng, n_samples):
         m = int(dd.field.shells[x])
         est = dd.dist_to_infinity(dd.domain.vertex_id(x))
@@ -262,20 +224,13 @@ def check_dist_to_infty(dd, bundle, n_samples=200, seed=0, tolerance=None):
             est.lower / band_up,
             band_low / est.upper,
         )
-        worst = max(worst, ratio)
-        samples += 1
-        if ratio > 1.0 + tolerance:
-            violations += 1
-            _record(witnesses, {
-                "x": dd.domain.vertex_id(x), "m": m,
-                "interval": [est.lower, est.upper],
-                "band": [band_low, band_up], "ratio": ratio,
-            })
-    return CheckReport(
-        name="dist_to_infty", samples=samples, excluded=excluded,
-        violations=violations, worst_ratio=worst, tolerance=tolerance,
-        seed=seed, witnesses=witnesses,
-    )
+        rep.samples += 1
+        rep.score(ratio, {
+            "x": dd.domain.vertex_id(x), "m": m,
+            "interval": [est.lower, est.upper],
+            "band": [band_low, band_up], "ratio": ratio,
+        })
+    return rep
 
 
 def check_dist_pip_bdy(dd, bundle, n_samples=200, seed=0, tolerance=None):
@@ -286,70 +241,52 @@ def check_dist_pip_bdy(dd, bundle, n_samples=200, seed=0, tolerance=None):
     Deeper points land between (50/121) of the inner shell sum and
     cu*cphi times the extended shell sum.
     """
-    if tolerance is None:
-        tolerance = default_tolerance(dd)
+    tolerance = default_tolerance(dd, tolerance)
     eps0 = 1e-9
     rng = np.random.default_rng(seed)
     weight = dd.weight
     vals_phi = dd.boundary_field_phi
     vals_d = dd.field.values
     groups = shell_groups(dd)
-    witnesses = []
-    samples = violations = 0
-    worst = 0.0
+    rep = CheckReport(name="dist_pip_bdy", tolerance=tolerance, seed=seed,
+                      notes={"shell0_eps": eps0})
     full = weight.tail_sum(0)
     for x in stratified_pick(groups, rng, n_samples):
         m = int(dd.field.shells[x])
         v = float(vals_phi[x])
         d0 = float(vals_d[x])
-        samples += 1
+        rep.samples += 1
         if m == 0:
             ratio = max(v / d0, d0 / v)
-            worst = max(worst, ratio)
-            if ratio > 1.0 + eps0:
-                violations += 1
-                _record(witnesses, {
-                    "x": dd.domain.vertex_id(x), "m": 0,
-                    "d_omega": d0, "d_phi_bdry": v,
-                    "ratio": ratio,
-                })
+            rep.score(ratio, {
+                "x": dd.domain.vertex_id(x), "m": 0,
+                "d_omega": d0, "d_phi_bdry": v,
+                "ratio": ratio,
+            }, allowed=1.0 + eps0)
             continue
         low = (50.0 / 121.0) * (full - weight.tail_sum(m))
         up = bundle.cu * bundle.c_phi * (full - weight.tail_sum(m + bundle.n0 + 1))
         ratio = max(low / v, v / up)
-        worst = max(worst, ratio)
-        if ratio > 1.0 + tolerance:
-            violations += 1
-            _record(witnesses, {
-                "x": dd.domain.vertex_id(x), "m": m, "d_phi_bdry": v,
-                "band": [low, up], "ratio": ratio,
-            })
-    return CheckReport(
-        name="dist_pip_bdy", samples=samples, violations=violations,
-        worst_ratio=worst, tolerance=tolerance, seed=seed,
-        witnesses=witnesses, notes={"shell0_eps": eps0},
-    )
+        rep.score(ratio, {
+            "x": dd.domain.vertex_id(x), "m": m, "d_phi_bdry": v,
+            "band": [low, up], "ratio": ratio,
+        })
+    return rep
 
 
 def check_large_bound(dd, bundle, n_samples=200, seed=0, tolerance=None):
     """Pairs within shells <= m0 obey the coarse growth bound
     ``c_growth * 2**m * phi(2**m)`` with m the shallower shell."""
-    if tolerance is None:
-        tolerance = default_tolerance(dd)
+    tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
     weight = dd.weight
     shells = dd.field.shells
     adj = dd.adjacency_phi_interior
     groups = [(s, g) for s, g in shell_groups(dd) if s <= bundle.m0]
-    witnesses = []
-    samples = violations = 0
-    worst = 0.0
+    rep = CheckReport(name="large_bound", tolerance=tolerance, seed=seed)
     if not groups:
-        return CheckReport(
-            name="large_bound", samples=0, violations=0, worst_ratio=0.0,
-            tolerance=tolerance, seed=seed,
-            notes={"reason": "no shells at or below m0"},
-        )
+        rep.notes = {"reason": "no shells at or below m0"}
+        return rep
     n_sources = max(2, n_samples // 14)
     sources = stratified_pick(groups, rng, n_sources)
     per_src = max(1, -(-n_samples // n_sources))
@@ -363,21 +300,14 @@ def check_large_bound(dd, bundle, n_samples=200, seed=0, tolerance=None):
             m = int(min(shells[src], shells[t]))
             bound = bundle.c_growth * 2.0 ** m * weight.value(2.0 ** m)
             ratio = float(dist[t]) / bound
-            worst = max(worst, ratio)
-            samples += 1
-            if ratio > 1.0 + tolerance:
-                violations += 1
-                _record(witnesses, {
-                    "x": dd.domain.vertex_id(src), "y": dd.domain.vertex_id(t),
-                    "m": m, "d_phi": float(dist[t]), "bound": bound,
-                    "ratio": ratio,
-                })
-    return CheckReport(
-        name="large_bound", samples=samples, violations=violations,
-        worst_ratio=worst, tolerance=tolerance, seed=seed,
-        witnesses=witnesses,
-        notes={"deepest_shell_sampled": deepest, "m0": bundle.m0},
-    )
+            rep.samples += 1
+            rep.score(ratio, {
+                "x": dd.domain.vertex_id(src), "y": dd.domain.vertex_id(t),
+                "m": m, "d_phi": float(dist[t]), "bound": bound,
+                "ratio": ratio,
+            })
+    rep.notes = {"deepest_shell_sampled": deepest, "m0": bundle.m0}
+    return rep
 
 
 def check_boundary_identification(dd, bundle, n_samples=200, seed=0,
@@ -388,26 +318,24 @@ def check_boundary_identification(dd, bundle, n_samples=200, seed=0,
     Distances run on the full graph: curves between boundary points live in
     the closure, where travelling along the boundary is legitimate.
     """
-    if tolerance is None:
-        tolerance = default_tolerance(dd)
+    tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
     domain = dd.domain
     boundary = domain.boundary_idx
     adj_d = domain.adjacency
     adj_phi = dd.adjacency_phi
     bmask = domain.boundary_mask
-    witnesses = []
-    samples = excluded = violations = 0
-    worst = 0.0
+    rep = CheckReport(name="boundary_identification", tolerance=tolerance,
+                      seed=seed, notes={"cq": bundle.cq})
     attempts = 0
-    while samples < n_samples and attempts < 6 * n_samples:
+    while rep.samples < n_samples and attempts < 6 * n_samples:
         attempts += 1
         z = int(rng.choice(boundary))
         dist_d = _graphs.distances_from(adj_d, z, limit=0.1000001)
         cand = np.nonzero(np.isfinite(dist_d) & (dist_d > 0) & bmask)[0]
         cand = cand[dist_d[cand] <= 0.1]
         if cand.size == 0:
-            excluded += 1
+            rep.excluded += 1
             continue
         take = cand if cand.size <= 4 else rng.choice(cand, size=4, replace=False)
         limit_phi = bundle.cq * 0.1 * (1.0 + tolerance) * 1.02
@@ -420,19 +348,12 @@ def check_boundary_identification(dd, bundle, n_samples=200, seed=0,
             r1 = d / dphi
             r2 = dphi / (bundle.cq * d)
             ratio = max(r1, r2)
-            worst = max(worst, ratio)
-            samples += 1
-            if ratio > 1.0 + tolerance:
-                violations += 1
-                _record(witnesses, {
-                    "zeta": domain.vertex_id(z), "eta": domain.vertex_id(int(y)),
-                    "d": d, "d_phi": dphi, "ratio": ratio,
-                })
-    return CheckReport(
-        name="boundary_identification", samples=samples, excluded=excluded,
-        violations=violations, worst_ratio=worst, tolerance=tolerance,
-        seed=seed, witnesses=witnesses, notes={"cq": bundle.cq},
-    )
+            rep.samples += 1
+            rep.score(ratio, {
+                "zeta": domain.vertex_id(z), "eta": domain.vertex_id(int(y)),
+                "d": d, "d_phi": dphi, "ratio": ratio,
+            })
+    return rep
 
 
 def check_separation_from_infinity(dd, bundle, n_samples=0, seed=0,
@@ -446,56 +367,42 @@ def check_separation_from_infinity(dd, bundle, n_samples=0, seed=0,
     frontier distances come from one frontier-rooted sweep on the full
     graph, whose minima agree with the per-vertex queries.
     """
-    if tolerance is None:
-        tolerance = default_tolerance(dd)
+    tolerance = default_tolerance(dd, tolerance)
     domain = dd.domain
+    rep = CheckReport(name="separation_from_infinity", tolerance=tolerance,
+                      seed=seed)
     if domain.frontier_idx.size == 0:
-        return CheckReport(
-            name="separation_from_infinity", samples=0, violations=0,
-            worst_ratio=0.0, tolerance=tolerance, seed=seed,
-            notes={"reason": "no frontier"},
-        )
+        rep.notes = {"reason": "no frontier"}
+        return rep
     weight = dd.weight
     dist_fr = _graphs.min_distance_field(dd.adjacency_phi, domain.frontier_idx)
     esc_low = weight.integral_tail(dd.frontier_min_depth)
     esc_high = weight.tail_sum(max(dd.frontier_shell - 1, 0))
     base_low = (5.0 / 11.0) * weight.tail_sum(1)
-    witnesses = []
-    violations = 0
-    worst = 0.0
     lowers = np.maximum(dist_fr[domain.boundary_idx] + esc_low, base_low)
     uppers = dist_fr[domain.boundary_idx] + esc_high
     min_i = int(np.argmin(lowers))
     min_lower = float(lowers[min_i])
-    samples = len(lowers)
+    rep.samples = len(lowers)
     if not (min_lower > 0.0) or not np.isfinite(min_lower):
-        violations += 1
-        worst = np.inf
-        _record(witnesses, {
+        rep.score(np.inf, {
             "kind": "positivity",
             "zeta": domain.vertex_id(domain.boundary_idx[min_i]),
             "lower": min_lower,
         })
-    notes = {"min_lower": min_lower}
+    rep.notes = {"min_lower": min_lower}
     if domain.meta.get("generator") == "half_plane" and weight.kind == "power":
         target = weight.beta / (weight.beta - 1.0)
         mid = 0.5 * (min_lower + float(uppers[min_i]))
         width = float(uppers[min_i]) - min_lower
         allowed = 0.02 * target + width
         ratio = abs(mid - target) / allowed
-        worst = max(worst, ratio)
-        if ratio > 1.0 + tolerance:
-            violations += 1
-            _record(witnesses, {
-                "kind": "closed_form", "midpoint": mid, "target": target,
-                "allowed": allowed, "ratio": ratio,
-            })
-        notes.update(target=target, midpoint=mid, width=width)
-    return CheckReport(
-        name="separation_from_infinity", samples=samples,
-        violations=violations, worst_ratio=worst, tolerance=tolerance,
-        seed=seed, witnesses=witnesses, notes=notes,
-    )
+        rep.score(ratio, {
+            "kind": "closed_form", "midpoint": mid, "target": target,
+            "allowed": allowed, "ratio": ratio,
+        })
+        rep.notes.update(target=target, midpoint=mid, width=width)
+    return rep
 
 
 # -- orchestration -------------------------------------------------------------
@@ -513,22 +420,13 @@ def run_all_checks(dd, bundle, checks=None, n_samples=200, seed=0,
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     if threads is None:
         threads = int(os.environ.get("CD_THREADS", "1"))
-    runners = {
-        "crossing_levels": lambda: check_crossing_levels(
-            dd, n_samples=n_samples, seed=seed, tolerance=tolerance),
-        "nearby_points": lambda: check_nearby_points(
-            dd, bundle, n_samples=n_samples, seed=seed, tolerance=tolerance),
-        "dist_to_infty": lambda: check_dist_to_infty(
-            dd, bundle, n_samples=n_samples, seed=seed, tolerance=tolerance),
-        "dist_pip_bdy": lambda: check_dist_pip_bdy(
-            dd, bundle, n_samples=n_samples, seed=seed, tolerance=tolerance),
-        "large_bound": lambda: check_large_bound(
-            dd, bundle, n_samples=n_samples, seed=seed, tolerance=tolerance),
-        "boundary_identification": lambda: check_boundary_identification(
-            dd, bundle, n_samples=n_samples, seed=seed, tolerance=tolerance),
-        "separation_from_infinity": lambda: check_separation_from_infinity(
-            dd, bundle, n_samples=n_samples, seed=seed, tolerance=tolerance),
-    }
+
+    def run(name):
+        # looked up at call time, so a replaced checker is the one that runs
+        args = (dd,) if name == "crossing_levels" else (dd, bundle)
+        return globals()[f"check_{name}"](*args, n_samples=n_samples, seed=seed,
+                                          tolerance=tolerance)
+
     selected = [name for name in CHECK_NAMES if name in checks]
     if threads > 1:
         # fields shared by several checkers must exist before concurrent use
@@ -536,9 +434,9 @@ def run_all_checks(dd, bundle, checks=None, n_samples=200, seed=0,
         if dd.domain.frontier_idx.size:
             dd.frontier_field_phi
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(runners[name]) for name in selected}
+            futures = {name: pool.submit(run, name) for name in selected}
             return [futures[name].result() for name in selected]
-    return [runners[name]() for name in selected]
+    return [run(name) for name in selected]
 
 
 def subcurve_excess_report(dd, n_curves=6, seed=0, tolerance=None):
@@ -548,8 +446,7 @@ def subcurve_excess_report(dd, n_curves=6, seed=0, tolerance=None):
     geodesics may drift, so the worst prefix/suffix constant is reported
     relative to the whole-curve constant and flagged past tolerance.
     """
-    if tolerance is None:
-        tolerance = default_tolerance(dd)
+    tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
     groups = shell_groups(dd)
     rows = []
@@ -571,8 +468,7 @@ def subcurve_excess_report(dd, n_curves=6, seed=0, tolerance=None):
 def aggregate_report(dd, bundle, reports, seed, tolerance=None,
                      subcurves=True, include_timestamp=True):
     """Bundle checker reports with run provenance into one JSON-ready dict."""
-    if tolerance is None:
-        tolerance = default_tolerance(dd)
+    tolerance = default_tolerance(dd, tolerance)
     out = {
         "checks": [r.to_dict() for r in reports],
         "domain_meta": dict(dd.domain.meta),

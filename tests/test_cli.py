@@ -252,3 +252,15 @@ def test_repeated_edge_in_domain_file_exits_2(tmp_path):
                         "--from", f"id:{u}", "--to", f"id:{v}"])
     assert code == 2
     assert "more than once" in err
+
+
+def test_malformed_edge_in_domain_file_exits_2(tmp_path):
+    # an exit code of 1 would read as a violation
+    path = str(tmp_path / "short.json")
+    with open(path, "w") as fh:
+        json.dump({"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]],
+                   "boundary": [0]}, fh)
+    code, _, err = run(["distance", "--domain", path, "--weight", W,
+                        "--from", "id:0", "--to", "id:1"])
+    assert code == 2
+    assert "is not a list" in err

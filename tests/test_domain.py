@@ -227,14 +227,79 @@ def test_repeated_edge_is_rejected(n, seed, reversed_copy):
 
 def test_json_round_trip(tmp_path):
     d = half_plane(width=2, depth=2, h=0.5, conn=8)
-    p = tmp_path / "dom.json"
-    d.save(p)
-    d2 = load_domain(p)
-    assert d2.to_dict() == d.to_dict()
-    # a second save is byte-identical
-    p2 = tmp_path / "dom2.json"
-    d2.save(p2)
-    assert p.read_bytes() == p2.read_bytes()
+    # the same domain with its ids shuffled and spread out, negatives too
+    ids = np.random.default_rng(4).permutation(d.n_vertices) * 7 - 30
+    shuffled = MetricDomain(ids=ids, coords=d.coords, edge_u=d.edge_u,
+                            edge_v=d.edge_v, edge_len=d.edge_len,
+                            boundary_idx=d.boundary_idx,
+                            frontier_idx=d.frontier_idx, meta=d.meta)
+    for n, dom_ in enumerate((d, shuffled)):
+        p = tmp_path / f"dom{n}.json"
+        dom_.save(p)
+        d2 = load_domain(p)
+        assert d2.to_dict() == dom_.to_dict()
+        assert (d2.ids == dom_.ids).all()
+        assert (d2.edge_u == dom_.edge_u).all() and (d2.edge_v == dom_.edge_v).all()
+        # a second save is byte-identical
+        p2 = tmp_path / f"dom{n}-again.json"
+        d2.save(p2)
+        assert p.read_bytes() == p2.read_bytes()
+
+
+def _oracle_bytes(domain_):
+    """The layout's reference text: the standard library's indented dump."""
+    return (json.dumps(domain_.to_dict(), sort_keys=True, indent=1) + "\n").encode()
+
+
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_meta_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | _finite
+    | st.text(alphabet=",[]{}:\" \\\nab\u00e9", max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet=",:ab ", max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12),
+       seed=st.integers(min_value=0, max_value=10_000),
+       with_coords=st.booleans(), with_frontier=st.booleans(),
+       bad_coord=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+       meta=st.dictionaries(st.text(max_size=4), _meta_value, max_size=4))
+def test_save_matches_indented_dump(tmp_path_factory, n, seed, with_coords,
+                                    with_frontier, bad_coord, meta):
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(np.arange(-50, 50), size=n, replace=False)
+    # a random tree keeps the graph connected; a few chords on top
+    tree_u = np.array([rng.integers(i) for i in range(1, n)], dtype=np.int64)
+    pairs = {(int(min(a, b)), int(max(a, b))) for a, b in zip(tree_u, range(1, n))}
+    for a, b in rng.integers(n, size=(n, 2)):
+        if a != b:
+            pairs.add((int(min(a, b)), int(max(a, b))))
+    eu, ev = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+    coords = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-5, 6) if with_coords else None
+    if coords is not None and bad_coord is not None:
+        coords[rng.integers(n), rng.integers(2)] = bad_coord
+    order = rng.permutation(n)
+    d = MetricDomain(
+        ids=ids, coords=coords, edge_u=eu, edge_v=ev,
+        edge_len=rng.uniform(1e-3, 1e3, len(eu)),
+        boundary_idx=order[:1],
+        frontier_idx=order[1:1 + n // 2] if with_frontier else np.arange(0),
+        meta=meta)
+    path = tmp_path_factory.mktemp("save") / "dom.json"
+    d.save(path)
+    assert path.read_bytes() == _oracle_bytes(d)
+    if bad_coord is None:
+        assert load_domain(path).to_dict() == d.to_dict()
+
+
+def test_save_writes_in_blocks(tmp_path, monkeypatch):
+    # more records than one block holds: the blocks join into one list
+    monkeypatch.setattr(dom, "_BLOCK", 7)
+    d = half_plane(width=3, depth=2, h=0.5, conn=8)
+    d.save(tmp_path / "dom.json")
+    assert (tmp_path / "dom.json").read_bytes() == _oracle_bytes(d)
 
 
 def test_from_dict_errors(tmp_path):
@@ -253,6 +318,59 @@ def test_from_dict_errors(tmp_path):
     bad_json.write_text("{not json")
     with pytest.raises(DomainError):
         load_domain(bad_json)
+
+
+def _strip_record():
+    return json.loads(json.dumps(strip(width=2, h=1.0, conn=4).to_dict()))
+
+
+@pytest.mark.parametrize("edge", [[0, 1], [0, 1, 1.0, 5], {"u": 0}, 3])
+def test_from_dict_rejects_an_edge_that_is_not_a_triple(edge):
+    record = _strip_record()
+    record["edges"].append(edge)
+    with pytest.raises(DomainError, match="is not a list"):
+        from_dict(record)
+
+
+@pytest.mark.parametrize("key", ["vertices", "edges", "boundary", "frontier"])
+def test_from_dict_rejects_a_field_that_is_not_a_list(key):
+    record = _strip_record()
+    record[key] = 5
+    with pytest.raises(DomainError, match="must be lists"):
+        from_dict(record)
+
+
+def test_from_dict_rejects_a_vertex_without_an_id():
+    record = _strip_record()
+    record["vertices"][2] = {"xy": record["vertices"][2]["xy"]}
+    with pytest.raises(DomainError, match='"id"'):
+        from_dict(record)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", True, None])
+def test_from_dict_rejects_a_non_integral_id(value):
+    record = _strip_record()
+    record["vertices"][1]["id"] = value
+    with pytest.raises(DomainError, match="vertex id must be an integer"):
+        from_dict(record)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_from_dict_rejects_a_non_integral_edge_endpoint(end):
+    # truncated, 1.7 would silently read as vertex 1
+    record = _strip_record()
+    record["edges"][0][end] = 1.7
+    with pytest.raises(DomainError, match="endpoint must be an integer, got 1.7"):
+        from_dict(record)
+
+
+def test_from_dict_names_the_first_unknown_id():
+    record = _strip_record()
+    record["edges"][3][1] = 77
+    record["edges"][1][1] = 55
+    record["boundary"].append(99)
+    with pytest.raises(DomainError, match="unknown vertex id 55$"):
+        from_dict(record)
 
 
 def test_from_dict_without_coords():

@@ -11,6 +11,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from confdeform import _graphs, synthesis
+from confdeform.curves import Curve, subcurve_excess_ratio, uniformity_constant
 from confdeform.deform import deform
 from confdeform.domain import MetricDomain, generate_domain, half_plane
 from confdeform.weight import WeightFunction, derive_constants
@@ -193,3 +194,106 @@ def test_limit_schedule_stays_short(first_edge, meta, monkeypatch):
     runs = _counted(monkeypatch, "distances_from")
     assert path.distance(3, n - 1) == n - 4.0
     assert len(runs) <= 13
+
+
+def _limits(monkeypatch):
+    """Record the limit of every run; the list grows per call."""
+    limits = []
+    orig = _graphs.distances_from
+
+    def wrapper(adj, source, limit=np.inf):
+        limits.append(limit)
+        return orig(adj, source, limit)
+
+    monkeypatch.setattr(_graphs, "distances_from", wrapper)
+    return limits
+
+
+def test_shallow_dphi_queries_probe_first(warm, monkeypatch):
+    dom, dd = warm
+    limits = _limits(monkeypatch)
+    near = dom.nearest_vertex(-1.0, 0.5), dom.nearest_vertex(-0.5, 0.75)
+    far = dom.nearest_vertex(-1.75, 0.25), dom.nearest_vertex(1.75, 0.25)
+    deep = dom.nearest_vertex(-1.0, 4.0), dom.nearest_vertex(1.0, 6.0)
+    got = [dd.dphi_distance(x, y) for x, y in (near, far, deep)]
+    seen = list(limits)
+    # a fresh deformed domain has no memo, and its view runs in full
+    fresh = deform(dom, W2).view
+    want = [fresh.distance(dom.index(x), dom.index(y)) for x, y in (near, far, deep)]
+    assert got == want
+    probe = 8.0 * dom.mesh_size * (1.0 + 1e-9)
+    # near: the probe reaches; far: it misses and a full run follows; deep
+    # roots (shell 1 and up) never probe
+    assert seen == [probe, probe, np.inf, np.inf]
+
+
+def test_curve_steps_are_looked_up_once(warm, monkeypatch):
+    dom, dd = warm
+    # both metrics' matrices come from one edge list: one sparsity pattern
+    assert (dom.adjacency.indptr == dd.adjacency_phi.indptr).all()
+    assert (dom.adjacency.indices == dd.adjacency_phi.indices).all()
+    lookups = _counted(monkeypatch, "edge_positions")
+    curve = dd.dphi_geodesic(dom.nearest_vertex(-1.5, 6.0), dom.nearest_vertex(1.0, 0.5))
+    assert len(lookups) == 1
+    for adj, incr in ((dom.adjacency, curve.incr_d), (dd.adjacency_phi, curve.incr_phi)):
+        for (u, v), w in zip(zip(curve.vertices[:-1], curve.vertices[1:]), incr):
+            assert adj[u, v] == w
+
+
+def _subcurve_oracle(curve, metric):
+    """The subcurve scan from unbounded runs and plain loops: the worst
+    prefix or suffix constant over the whole-curve constant."""
+    dd, vs = curve.dd, curve.vertices
+    deformed = metric == "phi"
+    view = dd.view if deformed else dd.domain.view
+    clear = (dd.boundary_field_phi if deformed else dd.field.values)[vs]
+    left = np.concatenate([[0.0], np.cumsum(curve.incr_phi if deformed else curve.incr_d)])
+    dist_a = dijkstra(view.interior, indices=int(vs[0]))
+    dist_b = dijkstra(view.interior, indices=int(vs[-1]))
+    # interior endpoints: the run from the smaller index gives the distance
+    d_ab = (dist_a if vs[0] < vs[-1] else dist_b)[max(vs[0], vs[-1])]
+    whole = uniformity_constant(curve, metric, endpoint_distance=d_ab)
+    worst, n = whole, len(vs)
+    for i in range(2, n):
+        if 0 < dist_a[vs[i]] < np.inf:
+            arms = [min(left[j], left[i] - left[j]) / clear[j] for j in range(1, i)]
+            worst = max(worst, left[i] / dist_a[vs[i]], max(arms))
+    for i in range(n - 2):
+        if 0 < dist_b[vs[i]] < np.inf:
+            arms = [min(left[j] - left[i], left[-1] - left[j]) / clear[j]
+                    for j in range(i + 1, n - 1)]
+            worst = max(worst, (left[-1] - left[i]) / dist_b[vs[i]], max(arms))
+    return worst / whole
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(SMALL_SPECS), st.sampled_from(["phi", "d"]),
+       st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_subcurve_scan_matches_full_runs(spec, metric, seed, walk):
+    dom = generate_domain(spec)
+    dd = deform(dom, W2)
+    rng = np.random.default_rng(seed)
+    interior = np.flatnonzero(~dom.boundary_mask)
+    if walk:
+        # a random walk through the interior, often far longer than a geodesic
+        adj, path = dd.adjacency_phi_interior, [int(rng.choice(interior))]
+        for _ in range(int(rng.integers(2, 12))):
+            row = adj.indices[adj.indptr[path[-1]]:adj.indptr[path[-1] + 1]]
+            path.append(int(rng.choice(row)))
+        curve = Curve.from_indices(dd, path)
+    else:
+        a, b = rng.choice(interior, size=2, replace=False)
+        curve = dd.dphi_geodesic(dom.vertex_id(a), dom.vertex_id(b))
+    if len(curve) < 3 or curve.vertices[0] == curve.vertices[-1]:
+        return
+    want = _subcurve_oracle(curve, metric)
+    # a fresh deformed domain, so no pair memo answers
+    fresh = deform(generate_domain(spec), W2)
+    copy = Curve(fresh, curve.vertices, curve.incr_d, curve.incr_phi,
+                 curve.total_d, curve.total_phi)
+    with pytest.MonkeyPatch.context() as mp:
+        limits = _limits(mp)
+        got = subcurve_excess_ratio(copy, metric)
+    assert got == want
+    # one bounded run per curve end, and none for the whole-curve distance
+    assert len(limits) == 2 and all(np.isfinite(limits))
