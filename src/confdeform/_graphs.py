@@ -7,7 +7,6 @@ one level up, in :mod:`confdeform.domain`.
 
 from __future__ import annotations
 
-import threading
 from functools import cached_property
 
 import numpy as np
@@ -171,6 +170,7 @@ class MetricView:
         self._edges = (n_vertices, edge_u, edge_v, edge_len)
         self.boundary_mask = np.zeros(n_vertices, dtype=bool)
         self.boundary_mask[boundary_idx] = True
+        self.boundary_mask.flags.writeable = False
         # limits for a query with no known bound: fourfold from first_limit,
         # below the total edge length (which bounds every finite distance),
         # at most the largest 12 so that a tiny first_limit stays cheap
@@ -180,7 +180,6 @@ class MetricView:
             limit *= 4.0
         del self._schedule[:-12]
         self._memo = {}  # (root, other) -> distance, oldest first
-        self._lock = threading.Lock()
         self._last = None  # (root, limit, dist) of the latest run
 
     @cached_property
@@ -194,11 +193,9 @@ class MetricView:
     def run(self, root, limit=np.inf):
         """Distances from ``root`` on the interior matrix, reusing the latest run."""
         root = int(root)
-        last = self._last
-        if last is None or last[:2] != (root, limit):
-            dist = distances_from(self.interior, root, limit=limit)
-            last = self._last = (root, limit, dist)
-        return last[2]
+        if self._last is None or self._last[:2] != (root, limit):
+            self._last = (root, limit, distances_from(self.interior, root, limit=limit))
+        return self._last[2]
 
     def known(self, ia, ib):
         """Memoised distance between two indices, or None."""
@@ -249,8 +246,7 @@ class MetricView:
             value = self._target_value(dist, other)
             if value <= limit:
                 break
-        with self._lock:
-            self._memo[(root, other)] = value
-            if len(self._memo) > self.MEMO_SIZE:
-                del self._memo[next(iter(self._memo))]
+        self._memo[(root, other)] = value
+        if len(self._memo) > self.MEMO_SIZE:
+            del self._memo[next(iter(self._memo))]
         return root, other, dist, value

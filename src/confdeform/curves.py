@@ -75,7 +75,7 @@ class Curve:
 
     @property
     def vertex_ids(self):
-        return [self.dd.domain.vertex_id(i) for i in self.vertices]
+        return self.dd.domain.ids[self.vertices].tolist()
 
     @property
     def start_id(self):
@@ -129,9 +129,9 @@ class Curve:
 
 
 def _metric_arrays(curve, metric):
-    if metric in ("phi", "deformed", "d_phi"):
+    if metric == "phi":
         return curve.incr_phi, curve.total_phi, True
-    if metric in ("d", "base"):
+    if metric == "d":
         return curve.incr_d, curve.total_d, False
     raise CurveError(f"unknown metric {metric!r}")
 
@@ -244,25 +244,18 @@ def subcurve_excess_ratio(curve, metric="phi"):
     bound = max(total, left[-1])
     a, b = int(curve.vertices[0]), int(curve.vertices[-1])
     dist = {v: view.run(v, bound * (1.0 + 1e-9)) for v in sorted({a, b}, reverse=True)}
-    dist_a, dist_b = dist[a], dist[b]
     whole = uniformity_constant(curve, metric,
                                 endpoint_distance=view.distance(a, b, bound))
     clearance = bvals[curve.vertices]
     worst = whole
-    # prefixes [0..i], interior vertices 1..i-1
-    for i in range(2, n):
-        dpair = dist_a[curve.vertices[i]]
+    # windows [lo..hi]: the prefixes [0..i], then the suffixes [i..n-1]
+    windows = [(0, i, dist[a][curve.vertices[i]]) for i in range(2, n)]
+    windows += [(i, n - 1, dist[b][curve.vertices[i]]) for i in range(n - 2)]
+    for lo, hi, dpair in windows:
         if dpair > 0 and np.isfinite(dpair):
-            quasi = left[i] / dpair
-            arms = np.minimum(left[1:i], left[i] - left[1:i])
-            cigar = float((arms / clearance[1:i]).max())
-            worst = max(worst, quasi, cigar)
-    for i in range(0, n - 2):
-        dpair = dist_b[curve.vertices[i]]
-        seg = left[-1] - left[i]
-        if dpair > 0 and np.isfinite(dpair):
-            quasi = seg / dpair
-            arms = np.minimum(left[i + 1:-1] - left[i], left[-1] - left[i + 1:-1])
-            cigar = float((arms / clearance[i + 1:-1]).max())
+            quasi = (left[hi] - left[lo]) / dpair
+            inner = left[lo + 1:hi]
+            arms = np.minimum(inner - left[lo], left[hi] - inner)
+            cigar = float((arms / clearance[lo + 1:hi]).max())
             worst = max(worst, quasi, cigar)
     return worst / whole

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,8 +93,6 @@ class DeformedDomain:
             domain.n_vertices, domain.edge_u, domain.edge_v, self.edge_len_phi,
             domain.boundary_idx,
         )
-        self._bdry_field_phi = None
-        self._frontier_field_phi = None
 
     # -- adjacency views ------------------------------------------------------
 
@@ -150,7 +149,7 @@ class DeformedDomain:
 
     # -- cached distance fields ------------------------------------------------
 
-    @property
+    @cached_property
     def boundary_field_phi(self):
         """Deformed distance to the boundary, per vertex.
 
@@ -158,22 +157,16 @@ class DeformedDomain:
         the way to another is never shorter than stopping at the first, so
         the minimum is unaffected by transit.
         """
-        if self._bdry_field_phi is None:
-            self._bdry_field_phi = _graphs.min_distance_field(
-                self.adjacency_phi, self.domain.boundary_idx
-            )
-        return self._bdry_field_phi
+        return _graphs.min_distance_field(self.adjacency_phi,
+                                          self.domain.boundary_idx)
 
-    @property
+    @cached_property
     def frontier_field_phi(self):
         """Deformed distance to the nearest frontier vertex (interior view)."""
-        if self._frontier_field_phi is None:
-            if self.domain.frontier_idx.size == 0:
-                raise DeformError("domain has no frontier")
-            self._frontier_field_phi = _graphs.min_distance_field(
-                self.adjacency_phi_interior, self.domain.frontier_idx
-            )
-        return self._frontier_field_phi
+        if self.domain.frontier_idx.size == 0:
+            raise DeformError("domain has no frontier")
+        return _graphs.min_distance_field(self.adjacency_phi_interior,
+                                          self.domain.frontier_idx)
 
     def dphi_boundary_distance(self, x=None):
         """Deformed distance to the boundary for one id, or the full field."""

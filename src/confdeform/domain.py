@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import contains, itemgetter
 
@@ -64,9 +65,6 @@ class MetricDomain:
         self.edge_len = np.asarray(self.edge_len, dtype=np.float64)
         self.boundary_idx = np.asarray(self.boundary_idx, dtype=np.int64)
         self.frontier_idx = np.asarray(self.frontier_idx, dtype=np.int64)
-        self._id_to_idx = None
-        self._view = None
-        self._boundary_field = None
         self.validate()
 
     # -- basic queries ----------------------------------------------------
@@ -81,14 +79,15 @@ class MetricDomain:
 
     @property
     def boundary_mask(self):
-        mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[self.boundary_idx] = True
-        return mask
+        """Read-only boolean mask of the boundary vertices."""
+        return self.view.boundary_mask
 
-    @property
+    @cached_property
     def frontier_mask(self):
+        """Read-only boolean mask of the frontier vertices."""
         mask = np.zeros(self.n_vertices, dtype=bool)
         mask[self.frontier_idx] = True
+        mask.flags.writeable = False
         return mask
 
     @property
@@ -103,14 +102,14 @@ class MetricDomain:
             h = float(self.edge_len.min())
         return float(h)
 
+    @cached_property
+    def _by_id(self):
+        return _id_lookup(self.ids)
+
     def index(self, vertex_id):
         """Row index of a vertex id."""
-        if self._id_to_idx is None:
-            self._id_to_idx = {int(v): i for i, v in enumerate(self.ids)}
-        try:
-            return self._id_to_idx[int(vertex_id)]
-        except KeyError:
-            raise DomainError(f"unknown vertex id {vertex_id}") from None
+        vid = _integers([int(vertex_id)], "a vertex id")
+        return int(self._by_id(vid, "unknown vertex id")[0])
 
     def vertex_id(self, idx):
         return int(self.ids[int(idx)])
@@ -125,16 +124,14 @@ class MetricDomain:
 
     # -- adjacency views ---------------------------------------------------
 
-    @property
+    @cached_property
     def view(self):
         """Base-metric view; its runs grow their limit from eight mesh sizes."""
-        if self._view is None:
-            self._view = _graphs.MetricView(
-                self.n_vertices, self.edge_u, self.edge_v, self.edge_len,
-                self.boundary_idx,
-                first_limit=8.0 * self.mesh_size if self.n_edges else None,
-            )
-        return self._view
+        return _graphs.MetricView(
+            self.n_vertices, self.edge_u, self.edge_v, self.edge_len,
+            self.boundary_idx,
+            first_limit=8.0 * self.mesh_size if self.n_edges else None,
+        )
 
     @property
     def adjacency(self):
@@ -272,6 +269,21 @@ def _integers(values, what):
         raise DomainError(f"{what} does not fit in 64 bits") from None
 
 
+def _id_lookup(ids):
+    """Map int64 id arrays to indices: one sort, then a binary search per id
+    (repeated ids fail validation).  The first unknown id is named."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+
+    def lookup(vids, unknown_msg):
+        pos = np.minimum(np.searchsorted(sorted_ids, vids), len(ids) - 1)
+        unknown = sorted_ids[pos] != vids
+        if unknown.any():
+            raise DomainError(f"{unknown_msg} {vids[unknown.argmax()]}")
+        return order[pos]
+    return lookup
+
+
 def from_dict(data):
     """Build a :class:`MetricDomain` from the JSON object layout."""
     try:
@@ -306,19 +318,11 @@ def from_dict(data):
                                count=len(raw_edges))
     except (TypeError, ValueError):
         raise DomainError("edge lengths must be numbers") from None
-    # ids to indices: one sort, then a binary search per id (repeated ids
-    # fail validation)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
+    by_id = _id_lookup(ids)
 
     def lookup(values, what):
-        vids = _integers(values, what)
-        pos = np.minimum(np.searchsorted(sorted_ids, vids), len(ids) - 1)
-        unknown = sorted_ids[pos] != vids
-        if unknown.any():
-            raise DomainError("edge or marker refers to unknown vertex id "
-                              f"{vids[unknown.argmax()]}")
-        return order[pos]
+        return by_id(_integers(values, what),
+                     "edge or marker refers to unknown vertex id")
 
     return MetricDomain(
         ids=ids, coords=coords, edge_len=edge_len,

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -338,13 +336,11 @@ def check_boundary_identification(dd, bundle, n_samples=200, seed=0,
             rep.excluded += 1
             continue
         take = cand if cand.size <= 4 else rng.choice(cand, size=4, replace=False)
-        limit_phi = bundle.cq * 0.1 * (1.0 + tolerance) * 1.02
-        dist_phi = _graphs.distances_from(adj_phi, z, limit=limit_phi)
+        # phi <= 1, so d_phi <= d <= 0.1: the base run's limit serves
+        dist_phi = _graphs.distances_from(adj_phi, z, limit=0.1000001)
         for y in take:
             d = float(dist_d[y])
             dphi = float(dist_phi[y])
-            if not np.isfinite(dphi):
-                dphi = float(_graphs.distances_from(adj_phi, z)[y])
             r1 = d / dphi
             r2 = dphi / (bundle.cq * d)
             ratio = max(r1, r2)
@@ -409,34 +405,22 @@ def check_separation_from_infinity(dd, bundle, n_samples=0, seed=0,
 
 
 def run_all_checks(dd, bundle, checks=None, n_samples=200, seed=0,
-                   tolerance=None, threads=None):
+                   tolerance=None):
     """Run the named checkers (all seven by default) and return the reports
-    in the canonical order.  ``CD_THREADS`` (or ``threads``) allows the
-    independent checkers to run concurrently."""
+    in the canonical order."""
     if checks is None:
         checks = CHECK_NAMES
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    if threads is None:
-        threads = int(os.environ.get("CD_THREADS", "1"))
-
-    def run(name):
-        # looked up at call time, so a replaced checker is the one that runs
-        args = (dd,) if name == "crossing_levels" else (dd, bundle)
-        return globals()[f"check_{name}"](*args, n_samples=n_samples, seed=seed,
-                                          tolerance=tolerance)
-
-    selected = [name for name in CHECK_NAMES if name in checks]
-    if threads > 1:
-        # fields shared by several checkers must exist before concurrent use
-        dd.boundary_field_phi
-        if dd.domain.frontier_idx.size:
-            dd.frontier_field_phi
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(run, name) for name in selected}
-            return [futures[name].result() for name in selected]
-    return [run(name) for name in selected]
+    reports = []
+    for name in CHECK_NAMES:
+        if name in checks:
+            # looked up at call time, so a replaced checker is the one that runs
+            args = (dd,) if name == "crossing_levels" else (dd, bundle)
+            reports.append(globals()[f"check_{name}"](
+                *args, n_samples=n_samples, seed=seed, tolerance=tolerance))
+    return reports
 
 
 def subcurve_excess_report(dd, n_curves=6, seed=0, tolerance=None):

@@ -231,6 +231,8 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
      "tolerance factor"),
     (["synthesize", *COMMON, "--cu", "2", "--cq", "1",
       "--from", "0,1", "--to", "0,1"], "endpoints must differ"),
+    (["distance", *COMMON, "--from", "id:99999999999999999999", "--to", "0,2"],
+     "does not fit in 64 bits"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)

@@ -192,6 +192,13 @@ def test_endpoint_distance_override(hp, dd):
         uniformity_constant(c, "watts")
 
 
+@pytest.mark.parametrize("metric", ["deformed", "d_phi", "base", "nope"])
+def test_metric_names_are_phi_and_d_only(hp, dd, metric):
+    c = vertical_geodesic(hp, dd)
+    with pytest.raises(CurveError, match="unknown metric"):
+        uniformity_constant(c, metric)
+
+
 # -- subcurve excess -------------------------------------------------------------------
 
 

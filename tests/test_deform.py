@@ -256,6 +256,21 @@ def test_dist_to_infinity_from_boundary():
     assert math.isfinite(est_b.upper)
 
 
+@pytest.mark.parametrize("beta", [2, 3])
+def test_quadrature_bias_is_one_sided_and_shrinks(beta):
+    # from a boundary vertex of the half plane the distance to infinity has
+    # the closed form beta/(beta - 1); the quadrature overestimates it, by
+    # less than half as much at each halving of the mesh
+    w = WeightFunction.power(beta)
+    errs = []
+    for h in (0.4, 0.2, 0.1, 0.05):
+        d = half_plane(width=4, depth=8, h=h, conn=8)
+        est = deform(d, w).dist_to_infinity(d.nearest_vertex(0.0, 0.0))
+        errs.append(est.lower - beta / (beta - 1.0))
+    assert all(err > 0.0 for err in errs), errs
+    assert all(fine < 0.5 * coarse for coarse, fine in zip(errs, errs[1:])), errs
+
+
 def test_dist_to_infinity_flags_a_clamped_interval(monkeypatch):
     d = half_plane(width=4, depth=8, h=0.5, conn=8)
     dd = deform(d, W2)

@@ -222,6 +222,17 @@ def test_repeated_edge_is_rejected(n, seed, reversed_copy):
         from_dict(record)
 
 
+def test_masks_are_built_once_and_read_only():
+    d = half_plane(width=2, depth=2, h=0.5, conn=8)
+    for mask, idx in ((d.boundary_mask, d.boundary_idx),
+                      (d.frontier_mask, d.frontier_idx)):
+        assert np.array_equal(np.flatnonzero(mask), np.sort(idx))
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+    assert d.boundary_mask is d.boundary_mask is d.view.boundary_mask
+    assert d.frontier_mask is d.frontier_mask
+
+
 # -- serialisation ------------------------------------------------------------
 
 
@@ -240,6 +251,7 @@ def test_json_round_trip(tmp_path):
         assert d2.to_dict() == dom_.to_dict()
         assert (d2.ids == dom_.ids).all()
         assert (d2.edge_u == dom_.edge_u).all() and (d2.edge_v == dom_.edge_v).all()
+        assert all(d2.index(d2.vertex_id(i)) == i for i in range(d2.n_vertices))
         # a second save is byte-identical
         p2 = tmp_path / f"dom{n}-again.json"
         d2.save(p2)
@@ -371,6 +383,21 @@ def test_from_dict_names_the_first_unknown_id():
     record["boundary"].append(99)
     with pytest.raises(DomainError, match="unknown vertex id 55$"):
         from_dict(record)
+
+
+def test_index_rejects_unknown_ids():
+    d = from_dict({
+        "vertices": [{"id": 12}, {"id": -30}, {"id": 5}, {"id": -23}],
+        "edges": [[12, 5, 1.0], [5, -23, 1.0], [-23, -30, 1.0]],
+        "boundary": [-30],
+    })
+    assert [d.index(v) for v in (12, -30, 5, -23)] == [0, 1, 2, 3]
+    for missing in (-31, -29, 0, 13, 2**63 - 1):
+        with pytest.raises(DomainError, match=f"unknown vertex id {missing}$"):
+            d.index(missing)
+    for outside in (2**63, 2**70, -2**70):
+        with pytest.raises(DomainError, match="does not fit in 64 bits"):
+            d.index(outside)
 
 
 def test_from_dict_without_coords():

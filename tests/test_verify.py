@@ -163,17 +163,6 @@ def test_run_all_checks_rejects_unknown_names(dd16, bundle22):
         run_all_checks(dd16, bundle22, checks=("crossing_levels", "nope"))
 
 
-def test_run_all_checks_threading_equivalent(dd16, bundle22, monkeypatch):
-    names = ("dist_pip_bdy", "large_bound", "separation_from_infinity")
-    serial = run_all_checks(dd16, bundle22, checks=names, n_samples=20, seed=2)
-    pooled = run_all_checks(dd16, bundle22, checks=names, n_samples=20, seed=2,
-                            threads=3)
-    assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
-    monkeypatch.setenv("CD_THREADS", "2")
-    via_env = run_all_checks(dd16, bundle22, checks=names, n_samples=20, seed=2)
-    assert [r.to_dict() for r in serial] == [r.to_dict() for r in via_env]
-
-
 def test_subcurve_excess_report_rows(dd16):
     rows = subcurve_excess_report(dd16, n_curves=4, seed=5)
     assert 0 < len(rows) <= 8
