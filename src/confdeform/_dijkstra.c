@@ -1,0 +1,117 @@
+/* Exact single-source Dijkstra on a CSR matrix, and the canonical
+ * predecessor walk, for confdeform._graphs (loaded through ctypes).
+ *
+ * With positive weights the settled values are the fixed point
+ * dist[v] = min_u dist[u] + w(u, v), whatever the heap order, so a run is
+ * bitwise equal to scipy.sparse.csgraph.dijkstra on the same matrix.
+ * Build with -O2 and without -ffast-math: the sums must round as numpy's.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+typedef struct {
+    double key;
+    int32_t v;
+} entry;
+
+/* pos[v]: 0 unseen, k + 1 at heap slot k, -1 settled */
+static void sift_up(entry *heap, int32_t *pos, int32_t k, entry e)
+{
+    while (k > 0 && heap[(k - 1) / 2].key > e.key) {
+        heap[k] = heap[(k - 1) / 2];
+        pos[heap[k].v] = k + 1;
+        k = (k - 1) / 2;
+    }
+    heap[k] = e;
+    pos[e.v] = k + 1;
+}
+
+/* Refill the hole left at the root from below, the smaller child each
+ * time, then sift e up from the leaf reached: e, the old last entry, seldom
+ * climbs far, and the child compares carry no hard-to-predict branch. */
+static void sift_down(entry *heap, int32_t *pos, int32_t size, entry e)
+{
+    int32_t k = 0, c;
+    while ((c = 2 * k + 1) + 1 < size) {
+        c += heap[c + 1].key < heap[c].key;
+        heap[k] = heap[c];
+        pos[heap[k].v] = k + 1;
+        k = c;
+    }
+    if (c < size) {
+        heap[k] = heap[c];
+        pos[heap[k].v] = k + 1;
+        k = c;
+    }
+    sift_up(heap, pos, k, e);
+}
+
+/* Distances from root into dist (all inf on entry).  An edge relaxes only
+ * when dist[u] + w <= limit.  The run stops once the heap minimum exceeds
+ * c = min(dist[v] + offset) over the stop members settled so far; every
+ * vertex it did not settle then reads inf, so dist is that of limit = c.
+ * Returns 0, or -1 when out of memory. */
+int cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
+                const double *data, int32_t root, double limit, int32_t n_stop,
+                const int32_t *stop, const double *offset, double *dist)
+{
+    int32_t *pos = calloc(n, sizeof *pos), *slot = calloc(n, sizeof *slot);
+    entry *heap = malloc(n * sizeof *heap);
+    int32_t size = 1;
+    double c = INFINITY;
+    if (!pos || !slot || !heap) {
+        free(pos), free(slot), free(heap);
+        return -1;
+    }
+    for (int32_t k = 0; k < n_stop; k++)  /* slot[v]: 1 + its least offset */
+        if (!slot[stop[k]] || offset[k] < offset[slot[stop[k]] - 1])
+            slot[stop[k]] = k + 1;
+    dist[root] = 0.0;
+    heap[0] = (entry){0.0, root};
+    pos[root] = 1;
+    while (size > 0 && !(heap[0].key > c)) {
+        entry top = heap[0];
+        pos[top.v] = -1;
+        if (--size > 0)
+            sift_down(heap, pos, size, heap[size]);
+        if (slot[top.v] && top.key + offset[slot[top.v] - 1] < c)
+            c = top.key + offset[slot[top.v] - 1];
+        for (int32_t j = indptr[top.v]; j < indptr[top.v + 1]; j++) {
+            int32_t u = indices[j];
+            double d = top.key + data[j];
+            if (pos[u] < 0 || !(d <= limit) || !(d < dist[u]))
+                continue;
+            dist[u] = d;
+            sift_up(heap, pos, pos[u] ? pos[u] - 1 : size++, (entry){d, u});
+        }
+    }
+    for (int32_t k = 0; k < size; k++)  /* tentative values of a stopped run */
+        dist[heap[k].v] = INFINITY;
+    free(pos), free(slot), free(heap);
+    return 0;
+}
+
+/* Path target -> source into path; each step takes the smallest u with
+ * dist[u] + w(u, v) == dist[v].  Returns the length, -1 when a vertex has
+ * no such u, or -2 when the walk would exceed n vertices. */
+int32_t cd_walk(int32_t n, const int32_t *indptr, const int32_t *indices,
+                const double *data, const double *dist, int32_t source,
+                int32_t target, int64_t *path)
+{
+    int32_t len = 1, v = target;
+    path[0] = v;
+    while (v != source) {
+        int32_t best = -1;
+        for (int32_t j = indptr[v]; j < indptr[v + 1]; j++)
+            if (dist[indices[j]] + data[j] == dist[v]
+                    && (best < 0 || indices[j] < best))
+                best = indices[j];
+        if (best < 0)
+            return -1;
+        if (len == n)
+            return -2;
+        path[len++] = v = best;
+    }
+    return len;
+}

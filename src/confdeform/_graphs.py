@@ -7,11 +7,60 @@ one level up, in :mod:`confdeform.domain`.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import logging
+import os
+import subprocess
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+
+
+def _load_kernel():
+    """The C kernel of ``_dijkstra.c``, built once per source hash into the
+    package directory, or None (with one warning) where it cannot be."""
+    src = Path(__file__).with_name("_dijkstra.c")
+    flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+    try:
+        key = hashlib.sha256(src.read_bytes() + str(flags).encode()).hexdigest()
+        lib = src.with_name(f"_dijkstra_{key[:16]}.so")
+        if not lib.exists():
+            tmp = lib.with_suffix(f".{os.getpid()}.tmp")  # racing builds agree
+            subprocess.run(["cc", *flags, "-o", tmp, src], check=True,
+                           capture_output=True)
+            os.replace(tmp, lib)
+        kernel = ctypes.CDLL(str(lib))
+    except (OSError, subprocess.SubprocessError) as exc:
+        logging.getLogger("confdeform").warning(
+            "C Dijkstra kernel unavailable, using scipy: %s", exc)
+        return None
+    i32, f64 = ctypes.c_int32, ctypes.c_double
+    i4, f8, i8 = (np.ctypeslib.ndpointer(t, flags="C")
+                  for t in (np.int32, np.float64, np.int64))
+    kernel.cd_dijkstra.argtypes = [i32, i4, i4, f8, i32, f64, i32, i4, f8, f8]
+    kernel.cd_walk.argtypes = [i32, i4, i4, f8, f8, i32, i32, i8]
+    kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
+    return kernel
+
+
+_kernel = _load_kernel()
+
+
+def _csr(adj, *vertices):
+    """(n, indptr, indices, data) as the kernel takes them, once each of
+    ``vertices`` (an index or an array of them) is checked in range; None
+    where scipy runs: no kernel, or not an int32-indexed CSR matrix."""
+    if (_kernel is None or getattr(adj, "format", None) != "csr"
+            or adj.indices.dtype != np.int32):
+        return None
+    n = adj.shape[0]
+    if not all(((0 <= np.asarray(v)) & (np.asarray(v) < n)).all() for v in vertices):
+        raise IndexError(f"vertex index out of range for {n} vertices")
+    return n, adj.indptr, adj.indices, np.ascontiguousarray(adj.data, float)
 
 
 def build_adjacency(n_vertices, edge_u, edge_v, edge_len):
@@ -25,9 +74,21 @@ def build_adjacency(n_vertices, edge_u, edge_v, edge_len):
     return csr_matrix((vals, (rows, cols)), shape=(n_vertices, n_vertices))
 
 
-def distances_from(adj, source, limit=np.inf):
-    """Single-source distances; unreached vertices get ``inf``."""
-    return dijkstra(adj, directed=True, indices=int(source), limit=limit)
+def distances_from(adj, source, limit=np.inf, stop=None):
+    """Single-source distances; unreached vertices get ``inf``.  ``stop``,
+    (members, offsets), ends the run once the heap minimum exceeds
+    ``c = min(dist[members] + offsets)``: the array is then that of
+    ``limit=c``.  scipy, run where the kernel cannot, ignores ``stop``."""
+    members, offsets = (np.empty(0), 0.0) if stop is None else stop
+    csr = _csr(adj, source, members)
+    if csr is None:
+        return dijkstra(adj, directed=True, indices=int(source), limit=limit)
+    members = np.ascontiguousarray(members, dtype=np.int32)
+    offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape), float)
+    dist = np.full(csr[0], np.inf)
+    if _kernel.cd_dijkstra(*csr, source, limit, len(members), members, offsets, dist):
+        raise MemoryError("no memory for a Dijkstra run")
+    return dist
 
 
 def min_distance_field(adj, sources):
@@ -50,28 +111,30 @@ def extract_path(adj, dist, source, target):
     which the relaxation parent always satisfies).  Ties break to the smallest
     vertex index so the returned path does not depend on heap order.
     """
-    source = int(source)
-    target = int(target)
+    source, target = int(source), int(target)
     if not np.isfinite(dist[target]):
         raise ValueError(f"vertex {target} is not reachable from {source}")
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    errors = {-1: "no optimal predecessor found; distance array does not "
+                  "match the adjacency matrix",
+              -2: "path extraction cycled; inconsistent distances"}
+    csr, n = _csr(adj, source, target), adj.shape[0]
+    if csr is not None:
+        dist, path = np.ascontiguousarray(dist, float), np.empty(n, dtype=np.int64)
+        if dist.shape != (n,):
+            raise ValueError(f"distance array of shape {dist.shape} for {n} vertices")
+        k = _kernel.cd_walk(*csr, dist, source, target, path)
+        if k < 0:
+            raise RuntimeError(errors[k])
+        return path[k - 1::-1].copy()
     path = [target]
-    v = target
-    while v != source:
-        lo, hi = indptr[v], indptr[v + 1]
-        nbrs = indices[lo:hi]
-        exact = dist[nbrs] + data[lo:hi] == dist[v]
-        if not exact.any():
-            raise RuntimeError(
-                "no optimal predecessor found; distance array does not match "
-                "the adjacency matrix"
-            )
-        v = int(nbrs[exact].min())
-        path.append(v)
-        if len(path) > adj.shape[0]:
-            raise RuntimeError("path extraction cycled; inconsistent distances")
-    path.reverse()
-    return np.asarray(path, dtype=np.int64)
+    while path[-1] != source:
+        lo, hi = adj.indptr[path[-1]], adj.indptr[path[-1] + 1]
+        nbrs = adj.indices[lo:hi]
+        nbrs = nbrs[dist[nbrs] + adj.data[lo:hi] == dist[path[-1]]]
+        if nbrs.size == 0 or len(path) == n:
+            raise RuntimeError(errors[-1 if nbrs.size == 0 else -2])
+        path.append(int(nbrs.min()))
+    return np.asarray(path[::-1], dtype=np.int64)
 
 
 def edge_positions(adj, path):
@@ -117,7 +180,7 @@ def pairwise_distances(adj, vertices, tighten=True):
     are below 1e-15 relative.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    mat = dijkstra(adj, directed=True, indices=vertices)[:, vertices]
+    mat = np.stack([distances_from(adj, v)[vertices] for v in vertices])
     if not tighten:
         return mat
     mat = np.minimum(mat, mat.T)
@@ -152,35 +215,23 @@ class MetricView:
     """Queries through the open domain under one edge-length assignment.
 
     Owns the full CSR and the source-directed interior CSR of
-    :func:`drop_incident_edges`.  Pair queries root at the smaller index on
-    the directed matrix.  A boundary target, never entered, takes the
-    minimum of ``dist[u] + w(u, t)`` over its neighbours in the full CSR,
-    where other boundary vertices hold ``inf``; paths are extracted there
-    too.  Runs are bounded by a known upper bound on the answer or else,
-    given ``first_limit``, by limits growing fourfold from it, and fall back
-    to a full run; a bounded run is exact wherever it reaches.  Pair answers
-    and the latest run's array are kept, no array per root (5 MB each at
-    641k vertices).
+    :func:`drop_incident_edges`.  A pair query is one run from the smaller
+    index on the directed matrix, stopped at the target's value: the least
+    ``dist[u] + w(u, t)`` over its neighbours in the full CSR (where other
+    boundary vertices hold ``inf``), for interior and boundary targets
+    alike; paths are extracted there too.  Pair answers and the latest run
+    are kept, no array per root (5 MB each at 641k vertices).
     """
 
     MEMO_SIZE = 256
 
-    def __init__(self, n_vertices, edge_u, edge_v, edge_len, boundary_idx,
-                 first_limit=None):
+    def __init__(self, n_vertices, edge_u, edge_v, edge_len, boundary_idx):
         self._edges = (n_vertices, edge_u, edge_v, edge_len)
         self.boundary_mask = np.zeros(n_vertices, dtype=bool)
         self.boundary_mask[boundary_idx] = True
         self.boundary_mask.flags.writeable = False
-        # limits for a query with no known bound: fourfold from first_limit,
-        # below the total edge length (which bounds every finite distance),
-        # at most the largest 12 so that a tiny first_limit stays cheap
-        self._schedule, limit, total = [], first_limit, float(np.sum(edge_len))
-        while limit is not None and 0.0 < limit < total:
-            self._schedule.append(limit)
-            limit *= 4.0
-        del self._schedule[:-12]
         self._memo = {}  # (root, other) -> distance, oldest first
-        self._last = None  # (root, limit, dist) of the latest run
+        self._last = None  # (root, radius up to which it is exact, dist)
 
     @cached_property
     def full(self):
@@ -191,30 +242,36 @@ class MetricView:
         return drop_incident_edges(*self._edges, np.flatnonzero(self.boundary_mask))
 
     def run(self, root, limit=np.inf):
-        """Distances from ``root`` on the interior matrix, reusing the latest run."""
-        root = int(root)
-        if self._last is None or self._last[:2] != (root, limit):
-            self._last = (root, limit, distances_from(self.interior, root, limit=limit))
+        """Distances from ``root`` on the interior matrix, up to ``limit``."""
+        self._last = (int(root), limit, distances_from(self.interior, root, limit))
         return self._last[2]
 
-    def known(self, ia, ib):
-        """Memoised distance between two indices, or None."""
-        return self._memo.get((min(ia, ib), max(ia, ib)))
+    def nearest(self, root, members, offsets=0.0):
+        """(dist, c) of a run from ``root`` stopped at the least
+        ``c = dist[m] + offset`` over the members; ``dist`` is exact up to
+        ``c`` (``inf`` when no member is reached).  The latest run answers
+        when it is exact that far."""
+        root, last = int(root), self._last
+        if last is not None and last[0] == root:
+            c = float(np.min(last[2][members] + offsets, initial=np.inf))
+            if c <= last[1]:
+                return last[2], c
+        dist = distances_from(self.interior, root, stop=(members, offsets))
+        c = float(np.min(dist[members] + offsets, initial=np.inf))
+        self._last = (root, c, dist)
+        return dist, c
 
-    def distance(self, ia, ib, bound=None):
-        """Distance between two indices, ``inf`` when not connected.
-        ``bound``, a known upper bound on it, only limits the run."""
+    def distance(self, ia, ib):
+        """Distance between two indices, ``inf`` when not connected."""
         if ia == ib:
             return 0.0
-        value = self.known(ia, ib)
-        return self._reach(ia, ib, bound)[3] if value is None else value
+        value = self._memo.get((min(ia, ib), max(ia, ib)))
+        return self._reach(ia, ib)[3] if value is None else value
 
-    def geodesic(self, ia, ib, bound=None):
+    def geodesic(self, ia, ib):
         """(distance, path from ``ia`` to ``ib``) for distinct indices; the
         path is None when they are not connected."""
-        known = self.known(ia, ib)
-        root, other, dist, value = self._reach(
-            ia, ib, bound if known is None else known)
+        root, other, dist, value = self._reach(ia, ib)
         if not np.isfinite(value):
             return value, None
         if self.boundary_mask[other]:
@@ -223,29 +280,12 @@ class MetricView:
         path = extract_path(self.full, dist, root, other)
         return value, (path if path[0] == ia else path[::-1].copy())
 
-    def _target_value(self, dist, other):
-        if not self.boundary_mask[other]:
-            return float(dist[other])
-        lo, hi = self.full.indptr[other], self.full.indptr[other + 1]
-        return float(np.min(dist[self.full.indices[lo:hi]] + self.full.data[lo:hi],
-                            initial=np.inf))
-
-    def _reach(self, ia, ib, bound):
-        """(root, other, dist, value) of a run rooted at the smaller index
-        that reaches the other one, or of a full run."""
+    def _reach(self, ia, ib):
+        """(root, other, dist, value) of the run from the smaller index
+        stopped at the other one."""
         root, other = min(int(ia), int(ib)), max(int(ia), int(ib))
-        # a curve length summed in another order may sit a few ulps below the
-        # run's value; the slack only widens the run
-        limits = self._schedule if bound is None else [bound * (1.0 + 1e-9)]
-        last = self._last
-        if last is not None and last[0] == root:
-            # the latest run from this root answers if it reached the target
-            limits = [last[1]] + [lim for lim in limits if lim > last[1]]
-        for limit in limits + [np.inf]:
-            dist = self.run(root, limit)
-            value = self._target_value(dist, other)
-            if value <= limit:
-                break
+        row = slice(self.full.indptr[other], self.full.indptr[other + 1])
+        dist, value = self.nearest(root, self.full.indices[row], self.full.data[row])
         self._memo[(root, other)] = value
         if len(self._memo) > self.MEMO_SIZE:
             del self._memo[next(iter(self._memo))]

@@ -226,8 +226,8 @@ def subcurve_excess_ratio(curve, metric="phi"):
     the same constant; this measures how far prefixes and suffixes stray.
     Endpoint distances for the subcurves come from two rooted runs, one per
     curve end, bounded by the curve's length, which no subcurve's endpoint
-    distance exceeds.  The run from the smaller index, made last, also
-    answers the whole-curve distance.
+    distance exceeds.  The run from the smaller index, made last, is exact
+    that far, so it also answers the whole-curve distance.
     """
     dd = curve.dd
     if curve.to_infinity:
@@ -239,13 +239,13 @@ def subcurve_excess_ratio(curve, metric="phi"):
     view = dd.view if deformed else dd.domain.view
     bvals = dd.boundary_field_phi if deformed else dd.field.values
     left = np.concatenate([[0.0], np.cumsum(incr)])
-    # the prefix sums may end a few ulps above the total; the view widens a
-    # bound by the factor used here, so its latest run serves the query
-    bound = max(total, left[-1])
+    # the prefix sums may end a few ulps above the total, and a distance
+    # summed in another order a few ulps above the length
+    bound = max(total, left[-1]) * (1.0 + 1e-9)
     a, b = int(curve.vertices[0]), int(curve.vertices[-1])
-    dist = {v: view.run(v, bound * (1.0 + 1e-9)) for v in sorted({a, b}, reverse=True)}
+    dist = {v: view.run(v, bound) for v in sorted({a, b}, reverse=True)}
     whole = uniformity_constant(curve, metric,
-                                endpoint_distance=view.distance(a, b, bound))
+                                endpoint_distance=view.distance(a, b))
     clearance = bvals[curve.vertices]
     worst = whole
     # windows [lo..hi]: the prefixes [0..i], then the suffixes [i..n-1]

@@ -106,42 +106,26 @@ class DeformedDomain:
 
     # -- distance and geodesic queries ----------------------------------------
 
-    def _query(self, x, y, bound):
-        """Indices and run bound; ``phi <= 1``, so a known ``d`` bounds ``d_phi``.
-
-        With none known, a root in shell 0 probes eight mesh sizes first: a
-        run that misses the target goes on in full.  Deeper roots do not
-        probe, since a phi-ball there can cover most of the graph."""
-        ix, iy = self.domain.index(x), self.domain.index(y)
-        known = [b for b in (bound, self.domain.view.known(ix, iy)) if b is not None]
-        if not known and self.field.shells[min(ix, iy)] == 0:
-            known = [8.0 * self.domain.mesh_size]
-        return ix, iy, min(known, default=None)
-
-    def dphi_distance(self, x, y, bound=None):
-        """Deformed distance between two vertex ids.  ``bound``, a known upper
-        bound such as the deformed length of a curve between them, only
-        limits the search."""
-        ix, iy, bound = self._query(x, y, bound)
-        val = self.view.distance(ix, iy, bound)
+    def dphi_distance(self, x, y):
+        """Deformed distance between two vertex ids."""
+        val = self.view.distance(self.domain.index(x), self.domain.index(y))
         if not math.isfinite(val):
             raise DeformError(f"vertices {x} and {y} are not connected "
                               "through the open domain")
         return val
 
-    def dphi_geodesic(self, x, y, bound=None):
+    def dphi_geodesic(self, x, y):
         """Shortest curve in the deformed metric, as a :class:`Curve`.
 
         The curve is oriented from x to y; its deformed length equals
-        ``dphi_distance(x, y)`` bitwise.  ``bound`` is as for
-        :meth:`dphi_distance`.
+        ``dphi_distance(x, y)`` bitwise.
         """
         from .curves import Curve
 
-        ix, iy, bound = self._query(x, y, bound)
+        ix, iy = self.domain.index(x), self.domain.index(y)
         if ix == iy:
             raise DeformError("geodesic endpoints must differ")
-        total_phi, path = self.view.geodesic(ix, iy, bound)
+        total_phi, path = self.view.geodesic(ix, iy)
         if path is None:
             raise DeformError(f"vertices {x} and {y} are not connected "
                               "through the open domain")
@@ -190,36 +174,36 @@ class DeformedDomain:
             raise DeformError("domain has no frontier")
         return int(self.field.shells[self.domain.frontier_idx].min())
 
-    def dist_to_infinity(self, x):
-        """Certified interval around the deformed distance to infinity.
+    def escape_bracket(self, shell):
+        """(esc_low, esc_high, floor) for a start in ``shell``: the escape cost
+        beyond the frontier is at least the weight's integral from the
+        frontier depth outward (an escape crosses every depth level left), at
+        most its dyadic majorant from one shell early (an escape ray from the
+        nearest frontier vertex); ``floor`` is the shell's coarea bound."""
+        return (self.weight.integral_tail(self.frontier_min_depth),
+                self.weight.tail_sum(max(self.frontier_shell - 1, 0)),
+                (5.0 / 11.0) * self.weight.tail_sum(shell + 1))
 
-        Both ends start from D, the computed deformed distance to the
-        frontier ring.  The escape cost beyond the frontier is bracketed
-        analytically: at least the integral of the weight from the frontier
-        depth outward (any escape crosses every remaining depth level), and
-        at most the dyadic majorant of that integral starting one shell
-        early (an escape ray from the nearest frontier vertex).  The lower
-        end is also kept above the coarea bound for the starting shell.
-        """
+    def dist_to_infinity(self, x):
+        """Certified interval around the deformed distance to infinity: D, the
+        computed deformed distance to the frontier ring, plus the
+        :meth:`escape_bracket`, with the lower end kept above its floor."""
         ix = self.domain.index(x)
         if self.domain.frontier_idx.size == 0:
             raise DeformError("domain has no frontier; nothing escapes to infinity")
         if self.view.boundary_mask[ix]:
-            big_d = float(self.view.run(ix)[self.domain.frontier_idx].min())
+            big_d = self.view.nearest(ix, self.domain.frontier_idx)[1]
         else:
             big_d = float(self.frontier_field_phi[ix])
         if not math.isfinite(big_d):
             raise DeformError("frontier unreachable from this vertex")
         m = int(self.field.shells[ix])
-        big_m = self.frontier_shell
-        esc_low = self.weight.integral_tail(self.frontier_min_depth)
-        esc_high = self.weight.tail_sum(max(big_m - 1, 0))
-        lower = max(big_d + esc_low, (5.0 / 11.0) * self.weight.tail_sum(m + 1))
-        upper = big_d + esc_high
+        esc_low, esc_high, floor = self.escape_bracket(m)
+        lower, upper = max(big_d + esc_low, floor), big_d + esc_high
         clamped = lower > upper  # only when the escape model fails
         return InfinityEstimate(
-            vertex=int(x), lower=min(lower, upper), upper=upper,
-            frontier_dphi=big_d, shell=m, frontier_shell=big_m, clamped=clamped,
+            vertex=int(x), lower=min(lower, upper), upper=upper, frontier_dphi=big_d,
+            shell=m, frontier_shell=self.frontier_shell, clamped=clamped,
         )
 
 

@@ -126,11 +126,10 @@ class MetricDomain:
 
     @cached_property
     def view(self):
-        """Base-metric view; its runs grow their limit from eight mesh sizes."""
+        """Base-metric view: pair queries, rooted runs and geodesics."""
         return _graphs.MetricView(
             self.n_vertices, self.edge_u, self.edge_v, self.edge_len,
             self.boundary_idx,
-            first_limit=8.0 * self.mesh_size if self.n_edges else None,
         )
 
     @property

@@ -87,12 +87,12 @@ def uniform_curve_d(dd, x, y):
 def _geodesic_to_frontier(dd, view, start_idx):
     """Vertex path from a vertex index to the nearest frontier vertex under
     one metric's view, and its length."""
-    dist = view.run(start_idx)
     fr = dd.domain.frontier_idx
-    if not np.isfinite(dist[fr]).any():
+    dist, total = view.nearest(start_idx, fr)
+    if not np.isfinite(total):
         raise SynthesisError("frontier unreachable from the start vertex")
     best = int(fr[int(np.argmin(dist[fr]))])
-    return _graphs.extract_path(view.full, dist, start_idx, best), float(dist[best])
+    return _graphs.extract_path(view.full, dist, start_idx, best), total
 
 
 def _phi_geodesic_to_frontier(dd, start_idx):
@@ -171,8 +171,7 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
             curve = beta
             notes["degenerate_splice"] = True
         else:
-            middle = dd.dphi_geodesic(domain.vertex_id(z1), domain.vertex_id(z2),
-                                      bound=float(np.sum(beta.incr_phi[first:last])))
+            middle = dd.dphi_geodesic(domain.vertex_id(z1), domain.vertex_id(z2))
             curve = beta_slice(beta, 0, first).concat(middle) if first > 0 else middle
             if last < len(beta) - 1:
                 curve = curve.concat(beta_slice(beta, last, len(beta) - 1))
@@ -208,7 +207,7 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
     if first == 0:
         curve = dd.dphi_geodesic(a, b)
     else:
-        tail = dd.dphi_geodesic(z1_id, b, bound=float(np.sum(beta.incr_phi[first:])))
+        tail = dd.dphi_geodesic(z1_id, b)
         curve = beta_slice(beta, 0, first).concat(tail)
     if curve.start_id != int(x):
         curve = curve.reverse()

@@ -372,9 +372,7 @@ def check_separation_from_infinity(dd, bundle, n_samples=0, seed=0,
         return rep
     weight = dd.weight
     dist_fr = _graphs.min_distance_field(dd.adjacency_phi, domain.frontier_idx)
-    esc_low = weight.integral_tail(dd.frontier_min_depth)
-    esc_high = weight.tail_sum(max(dd.frontier_shell - 1, 0))
-    base_low = (5.0 / 11.0) * weight.tail_sum(1)
+    esc_low, esc_high, base_low = dd.escape_bracket(0)
     lowers = np.maximum(dist_fr[domain.boundary_idx] + esc_low, base_low)
     uppers = dist_fr[domain.boundary_idx] + esc_high
     min_i = int(np.argmin(lowers))

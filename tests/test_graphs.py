@@ -1,5 +1,8 @@
 """Shortest-path plumbing: exactness and determinism guarantees."""
 
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,50 @@ def test_extract_path_unreachable():
     dist = _graphs.distances_from(adj, 0)
     with pytest.raises(ValueError):
         _graphs.extract_path(adj, dist, 0, 2)
+
+
+def test_kernel_loaded():
+    # the C kernel builds on import wherever a compiler is present; without
+    # it every run would quietly fall back to scipy
+    assert _graphs._kernel is not None
+
+
+def test_kernel_builds_once_or_warns(tmp_path, monkeypatch, caplog):
+    src = Path(_graphs.__file__).with_name("_dijkstra.c")
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    monkeypatch.setattr(_graphs, "__file__", str(tmp_path / "_graphs.py"))
+    assert _graphs._load_kernel() is not None
+    built = sorted(p.name for p in tmp_path.iterdir())
+    assert len(built) == 2 and built[1].endswith(".so")
+    # a second import loads the built library and leaves no temp file
+    assert _graphs._load_kernel() is not None
+    assert sorted(p.name for p in tmp_path.iterdir()) == built
+    # with no compiler there is one warning and no kernel
+    (tmp_path / built[1]).unlink()
+
+    def no_compiler(*args, **kwargs):
+        raise FileNotFoundError("cc")
+    monkeypatch.setattr(_graphs.subprocess, "run", no_compiler)
+    with caplog.at_level(logging.WARNING, logger="confdeform"):
+        assert _graphs._load_kernel() is None
+    assert [r.name for r in caplog.records] == ["confdeform"]
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "scipy"])
+def test_extract_path_rejects_inconsistent_distances(kernel, monkeypatch):
+    if not kernel:
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    adj = _diamond()
+    # vertex 3 claims a distance no neighbour explains
+    with pytest.raises(RuntimeError, match="no optimal predecessor"):
+        _graphs.extract_path(adj, np.array([0.0, 1.0, 1.2, 7.0]), 0, 3)
+    # a zero-length edge between two vertices at one claimed distance,
+    # neither of them next to the source: the walk bounces between them
+    zero = _graphs.build_adjacency(3, [0, 1], [1, 2], [1.0, 0.0])
+    with pytest.raises(RuntimeError, match="cycled"):
+        _graphs.extract_path(zero, np.array([0.0, 5.0, 5.0]), 0, 2)
+    with pytest.raises(ValueError):
+        _graphs.extract_path(adj, np.array([0.0, 1.0, 1.2, np.inf]), 0, 3)
 
 
 def test_edge_lengths_along():

@@ -59,10 +59,19 @@ def _rebuilt(n, eu, ev, w, boundary, ia, ib):
     return dist[other], path if path[0] == ia else path[::-1]
 
 
-@settings(max_examples=16, deadline=None)
-@given(st.sampled_from(SMALL_SPECS), st.sampled_from(["base", "phi", "random"]),
-       st.integers(min_value=0, max_value=10_000))
-def test_view_matches_rebuilt_matrix_on_every_pair(spec, metric, seed):
+def _py_walk(adj, dist, source, target):
+    """The canonical predecessor walk in plain Python: from the target back,
+    the smallest u with ``dist[u] + w(u, v) == dist[v]``."""
+    path = [target]
+    while path[-1] != source:
+        lo, hi = adj.indptr[path[-1]], adj.indptr[path[-1] + 1]
+        nbrs = adj.indices[lo:hi]
+        exact = dist[nbrs] + adj.data[lo:hi] == dist[path[-1]]
+        path.append(int(nbrs[exact].min()))
+    return path[::-1]
+
+
+def _pair_suite(spec, metric, seed):
     edges = _edges(spec, metric, seed)
     n = edges[0]
     for ia in range(n):
@@ -71,19 +80,33 @@ def test_view_matches_rebuilt_matrix_on_every_pair(spec, metric, seed):
             # a fresh view per comparison, so no memo can answer
             got = _graphs.MetricView(*edges).distance(ia, ib)
             assert got == want or (math.isinf(got) and math.isinf(want))
-            # a schedule that starts far too small falls back through
-            # bounded runs without changing the answer
-            sched = _graphs.MetricView(*edges, first_limit=0.3)
-            val, path = sched.geodesic(ia, ib)
+            view = _graphs.MetricView(*edges)
+            val, path = view.geodesic(ia, ib)
             assert val == got or (math.isinf(val) and math.isinf(want))
             if want_path is None:
                 assert path is None
                 continue
             assert path.tolist() == want_path.tolist()
-            # an exact known bound still reaches the target, and the path
-            # comes back oriented from the first argument
-            tight = _graphs.MetricView(*edges).geodesic(ib, ia, bound=want)
-            assert tight[1].tolist() == want_path[::-1].tolist()
+            # reversed, the latest run answers, and the path comes back
+            # oriented from the first argument
+            assert view.geodesic(ib, ia)[1].tolist() == want_path[::-1].tolist()
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(SMALL_SPECS), st.sampled_from(["base", "phi", "random"]),
+       st.integers(min_value=0, max_value=10_000))
+def test_view_matches_rebuilt_matrix_on_every_pair(spec, metric, seed):
+    _pair_suite(spec, metric, seed)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(SMALL_SPECS), st.sampled_from(["base", "phi", "random"]),
+       st.integers(min_value=0, max_value=10_000))
+def test_view_matches_rebuilt_matrix_without_the_kernel(spec, metric, seed):
+    # scipy runs on, past the stop set, and the Python walk takes the paths
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_graphs, "_kernel", None)
+        _pair_suite(spec, metric, seed)
 
 
 @settings(max_examples=24, deadline=None)
@@ -98,6 +121,42 @@ def test_bounded_runs_are_exact_where_they_reach(spec, metric, seed):
             reached = np.isfinite(bounded)
             assert (bounded[reached] == full[reached]).all()
             assert (full[~reached] > limit).all()
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(SMALL_SPECS), st.sampled_from(["base", "phi", "random"]),
+       st.integers(min_value=0, max_value=10_000))
+def test_kernel_runs_and_walks_match_scipy(spec, metric, seed):
+    edges = _edges(spec, metric, seed)
+    view = _graphs.MetricView(*edges)
+    frontier = generate_domain(spec).frontier_idx
+    for root in range(edges[0]):
+        full = dijkstra(view.interior, directed=True, indices=root)
+        assert _same(_graphs.distances_from(view.interior, root), full)
+        for limit in np.unique(full[np.isfinite(full)])[::3]:
+            assert _same(_graphs.distances_from(view.interior, root, limit),
+                         dijkstra(view.interior, directed=True, indices=root,
+                                  limit=limit))
+        # stop sets: each pair target's full row (interior and boundary
+        # targets alike), and the frontier at offset 0
+        stops = [(view.full.indices[view.full.indptr[t]:view.full.indptr[t + 1]],
+                  view.full.data[view.full.indptr[t]:view.full.indptr[t + 1]])
+                 for t in range(edges[0]) if t != root]
+        if frontier.size:
+            stops.append((frontier, np.zeros(frontier.size)))
+        for members, offsets in stops:
+            c = np.min(full[members] + offsets)
+            got = _graphs.distances_from(view.interior, root, stop=(members, offsets))
+            want = (full if np.isinf(c) else
+                    dijkstra(view.interior, directed=True, indices=root, limit=c))
+            assert _same(got, want)
+        for target in np.flatnonzero(np.isfinite(full)):
+            path = _graphs.extract_path(view.full, full, root, int(target))
+            assert path.tolist() == _py_walk(view.full, full, root, int(target))
 
 
 # -- a warm domain builds no matrix and repeats no run --------------------------
@@ -181,8 +240,8 @@ def test_rebundle_reuses_the_base_pair(monkeypatch):
 
 @pytest.mark.parametrize("first_edge, meta", [(1.0, {"h": 0.0}), (1e-300, {})])
 def test_limit_schedule_stays_short(first_edge, meta, monkeypatch):
-    # a zero mesh size must not stall the fourfold schedule, and a tiny one
-    # (loaded domains take the shortest edge) must not make it long
+    # neither a zero mesh size nor a tiny one (loaded domains take the
+    # shortest edge) changes the query: one run, stopped at the target
     n = 200
     lens = np.ones(n - 1)
     lens[0] = first_edge
@@ -193,7 +252,7 @@ def test_limit_schedule_stays_short(first_edge, meta, monkeypatch):
     )
     runs = _counted(monkeypatch, "distances_from")
     assert path.distance(3, n - 1) == n - 4.0
-    assert len(runs) <= 13
+    assert len(runs) == 1
 
 
 def _limits(monkeypatch):
@@ -201,30 +260,38 @@ def _limits(monkeypatch):
     limits = []
     orig = _graphs.distances_from
 
-    def wrapper(adj, source, limit=np.inf):
+    def wrapper(adj, source, limit=np.inf, **kwargs):
         limits.append(limit)
-        return orig(adj, source, limit)
+        return orig(adj, source, limit, **kwargs)
 
     monkeypatch.setattr(_graphs, "distances_from", wrapper)
     return limits
 
 
-def test_shallow_dphi_queries_probe_first(warm, monkeypatch):
-    dom, dd = warm
-    limits = _limits(monkeypatch)
-    near = dom.nearest_vertex(-1.0, 0.5), dom.nearest_vertex(-0.5, 0.75)
-    far = dom.nearest_vertex(-1.75, 0.25), dom.nearest_vertex(1.75, 0.25)
-    deep = dom.nearest_vertex(-1.0, 4.0), dom.nearest_vertex(1.0, 6.0)
-    got = [dd.dphi_distance(x, y) for x, y in (near, far, deep)]
-    seen = list(limits)
-    # a fresh deformed domain has no memo, and its view runs in full
-    fresh = deform(dom, W2).view
-    want = [fresh.distance(dom.index(x), dom.index(y)) for x, y in (near, far, deep)]
-    assert got == want
-    probe = 8.0 * dom.mesh_size * (1.0 + 1e-9)
-    # near: the probe reaches; far: it misses and a full run follows; deep
-    # roots (shell 1 and up) never probe
-    assert seen == [probe, probe, np.inf, np.inf]
+def test_every_pair_query_makes_one_run(monkeypatch):
+    dom = half_plane(width=4, depth=8, h=0.25, conn=8)
+    pairs = [(dom.nearest_vertex(-1.0, 0.5), dom.nearest_vertex(-0.5, 0.75)),
+             (dom.nearest_vertex(-1.75, 0.25), dom.nearest_vertex(1.75, 0.25)),
+             (dom.nearest_vertex(-1.0, 4.0), dom.nearest_vertex(1.0, 6.0)),
+             (int(dom.ids[dom.boundary_idx[5]]), dom.nearest_vertex(1.0, 3.0))]
+    runs = _counted(monkeypatch, "distances_from")
+    for ask in ("dphi_distance", "dphi_geodesic", "distance"):
+        # a fresh domain per kind of query: no memo and no latest run
+        fresh = deform(half_plane(width=4, depth=8, h=0.25, conn=8), W2)
+        owner = fresh.domain if ask == "distance" else fresh
+        view = owner.view
+        for x, y in pairs:
+            before = len(runs)
+            got = getattr(owner, ask)(x, y)
+            # the reversed pair is a repeat and makes no run
+            getattr(owner, ask)(y, x)
+            assert len(runs) == before + 1
+            # the answer is that of a full scipy run from the smaller index
+            ix, iy = sorted((dom.index(x), dom.index(y)))
+            full = dijkstra(view.interior, indices=ix)
+            lo, hi = view.full.indptr[iy], view.full.indptr[iy + 1]
+            want = np.min(full[view.full.indices[lo:hi]] + view.full.data[lo:hi])
+            assert (got.total_phi if ask == "dphi_geodesic" else got) == want
 
 
 def test_curve_steps_are_looked_up_once(warm, monkeypatch):
