@@ -7,7 +7,7 @@ metric, and numerically checks the quantitative inequalities governing the
 construction.
 """
 
-from .curves import Curve, check_uniform, uniformity_constant
+from .curves import Curve, uniformity_constant
 from .deform import DeformedDomain, InfinityEstimate, deform
 from .domain import (
     BoundaryDistanceField,
@@ -41,7 +41,6 @@ __all__ = [
     "WeightFunction",
     "aggregate_report",
     "boundary_distance",
-    "check_uniform",
     "deform",
     "derive_constants",
     "estimate_metric_constants",

@@ -22,7 +22,8 @@ from scipy.sparse.csgraph import dijkstra
 
 def _load_kernel():
     """The C kernel of ``_dijkstra.c``, built once per source hash into the
-    package directory, or None (with one warning) where it cannot be."""
+    package directory (a build removes the libraries of other hashes), or
+    None (with one warning) where it cannot be."""
     src = Path(__file__).with_name("_dijkstra.c")
     flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
     try:
@@ -33,6 +34,8 @@ def _load_kernel():
             subprocess.run(["cc", *flags, "-o", tmp, src], check=True,
                            capture_output=True)
             os.replace(tmp, lib)
+            for stale in set(lib.parent.glob("_dijkstra_*.so")) - {lib}:
+                stale.unlink(missing_ok=True)  # built from an older source
         kernel = ctypes.CDLL(str(lib))
     except (OSError, subprocess.SubprocessError) as exc:
         logging.getLogger("confdeform").warning(
@@ -168,21 +171,19 @@ def edge_lengths_along(adj, path):
     return adj.data[edge_positions(adj, path)]
 
 
-def pairwise_distances(adj, vertices, tighten=True):
+def pairwise_distances(adj, vertices):
     """Dense distance matrix between the listed vertices.
 
     Shortest-path distances computed by independent rooted runs are only
     symmetric and triangle-consistent up to float roundoff (different runs
-    associate the same edge sums differently).  With ``tighten`` the matrix is
-    symmetrised by min and then closed under min-plus until stable, which
-    restores both properties exactly.  Every entry remains the float sum of a
-    genuine path, evaluated in some association order; observed perturbations
-    are below 1e-15 relative.
+    associate the same edge sums differently).  The matrix is symmetrised by
+    min and then closed under min-plus until stable, which restores both
+    properties exactly.  Every entry remains the float sum of a genuine path,
+    evaluated in some association order; observed perturbations are below
+    1e-15 relative.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     mat = np.stack([distances_from(adj, v)[vertices] for v in vertices])
-    if not tighten:
-        return mat
     mat = np.minimum(mat, mat.T)
     np.fill_diagonal(mat, 0.0)
     for _ in range(len(vertices) + 1):

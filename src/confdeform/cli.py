@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import domain as domain_mod
 from . import verify
@@ -20,47 +19,6 @@ from .deform import DeformedDomain, parse_quadrature
 from .domain import DomainError, estimate_metric_constants
 from .synthesis import predicted_vs_measured, synthesize
 from .weight import WeightFunction, derive_constants
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the analysis subcommands."""
-
-    domain_spec: str
-    weight_spec: str
-    quad: int
-    samples: int
-    seed: int
-    tol_factor: float | None
-    out: str | None
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("sample budget must be at least 1")
-        if self.tol_factor is not None and self.tol_factor < 1.0:
-            raise ValueError("tolerance factor must be at least 1")
-
-    @property
-    def tolerance(self):
-        """Additive tolerance (the factor minus one), or None for auto."""
-        if self.tol_factor is None:
-            return None
-        return self.tol_factor - 1.0
-
-
-def _config_from_args(args):
-    tol = None
-    if args.tol not in (None, "auto"):
-        tol = float(args.tol)
-    return RunConfig(
-        domain_spec=args.domain,
-        weight_spec=args.weight,
-        quad=parse_quadrature(args.quad),
-        samples=args.samples,
-        seed=args.seed,
-        tol_factor=tol,
-        out=getattr(args, "out", None),
-    )
 
 
 def _load_domain(spec):
@@ -86,14 +44,14 @@ def _resolve_vertex(dom, text):
     return dom.nearest_vertex(float(parts[0]), float(parts[1]))
 
 
-def _bundle_for(dd, args, config):
+def _bundle_for(dd, args):
     """Constants bundle from explicit --cu/--cq or an empirical estimate."""
     cu, cq = args.cu, args.cq
     info = {}
     if cu is None or cq is None:
         est = estimate_metric_constants(
-            dd.domain, dd.field, n_pairs=min(2 * config.samples, 400),
-            seed=config.seed,
+            dd.domain, dd.field, n_pairs=min(2 * args.samples, 400),
+            seed=args.seed,
         )
         cu = cu if cu is not None else est.cu
         cq = cq if cq is not None else est.cq
@@ -110,10 +68,18 @@ def _emit(payload, out_path):
         sys.stdout.write(text)
 
 
-def _build_deformed(config):
-    dom = _load_domain(config.domain_spec)
-    weight = WeightFunction.parse(config.weight_spec)
-    return DeformedDomain(dom, weight, quadrature=config.quad)
+def _build_deformed(args):
+    """(deformed domain, additive tolerance or None for auto).  Every run
+    flag is checked before the domain loads."""
+    tol = None if args.tol in (None, "auto") else float(args.tol)
+    quad = parse_quadrature(args.quad)
+    if args.samples < 1:
+        raise ValueError("sample budget must be at least 1")
+    if tol is not None and tol < 1.0:
+        raise ValueError("tolerance factor must be at least 1")
+    weight = WeightFunction.parse(args.weight)
+    dd = DeformedDomain(_load_domain(args.domain), weight, quadrature=quad)
+    return dd, None if tol is None else tol - 1.0
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -129,12 +95,11 @@ def cmd_generate(args):
 
 
 def cmd_distance(args):
-    config = _config_from_args(args)
-    dd = _build_deformed(config)
+    dd, _ = _build_deformed(args)
     x = _resolve_vertex(dd.domain, args.frm)
     if args.to.strip().lower() == "inf":
         est = dd.dist_to_infinity(x)
-        _emit(est.to_dict(), config.out)
+        _emit(est.to_dict(), args.out)
         return 0
     y = _resolve_vertex(dd.domain, args.to)
     record = {
@@ -142,21 +107,20 @@ def cmd_distance(args):
         "d": dd.domain.distance(x, y),
         "d_phi": dd.dphi_distance(x, y),
     }
-    _emit(record, config.out)
+    _emit(record, args.out)
     return 0
 
 
 def cmd_geodesic(args):
-    config = _config_from_args(args)
-    dd = _build_deformed(config)
+    dd, _ = _build_deformed(args)
     x = _resolve_vertex(dd.domain, args.frm)
     if args.to.strip().lower() == "inf":
-        bundle, _ = _bundle_for(dd, args, config)
+        bundle, _ = _bundle_for(dd, args)
         result = synthesize(dd, bundle, x, to_infinity=True)
         record = result.curve.to_dict()
         record.update(x=x, y="inf", d_phi_interval=[result.curve.estimate.lower,
                                                     result.curve.estimate.upper])
-        _emit(record, config.out)
+        _emit(record, args.out)
         return 0
     y = _resolve_vertex(dd.domain, args.to)
     curve = dd.dphi_geodesic(x, y)
@@ -166,7 +130,7 @@ def cmd_geodesic(args):
         "d_phi": curve.total_phi,
         "geodesic": curve.vertex_ids,
     }
-    _emit(record, config.out)
+    _emit(record, args.out)
     return 0
 
 
@@ -178,19 +142,17 @@ def cmd_constants(args):
         return 0
     if args.domain is None:
         raise DomainError("constants needs either --cu and --cq or --domain")
-    config = _config_from_args(args)
-    dd = _build_deformed(config)
-    bundle, info = _bundle_for(dd, args, config)
+    dd, _ = _build_deformed(args)
+    bundle, info = _bundle_for(dd, args)
     payload = bundle.to_dict()
     payload.update(info)
-    _emit(payload, config.out)
+    _emit(payload, args.out)
     return 0
 
 
 def cmd_synthesize(args):
-    config = _config_from_args(args)
-    dd = _build_deformed(config)
-    bundle, _ = _bundle_for(dd, args, config)
+    dd, _ = _build_deformed(args)
+    bundle, _ = _bundle_for(dd, args)
     x = _resolve_vertex(dd.domain, args.frm)
     if args.to.strip().lower() == "inf":
         result = synthesize(dd, bundle, x, to_infinity=True)
@@ -199,48 +161,43 @@ def cmd_synthesize(args):
         result = synthesize(dd, bundle, x, y)
     payload = result.to_dict()
     payload["curve"] = result.curve.to_dict()
-    _emit(payload, config.out)
+    _emit(payload, args.out)
     return 0
 
 
+def _run_checks(dd, args, tol, names=None):
+    """(bundle, checker reports, aggregate report) of one checking run."""
+    bundle, info = _bundle_for(dd, args)
+    reports = verify.run_all_checks(
+        dd, bundle, checks=names, n_samples=args.samples, seed=args.seed,
+        tolerance=tol,
+    )
+    aggregate = verify.aggregate_report(
+        dd, bundle, reports, seed=args.seed, tolerance=tol,
+        include_timestamp=not args.no_timestamp,
+    )
+    aggregate.update(info)
+    return bundle, reports, aggregate
+
+
 def cmd_check(args):
-    config = _config_from_args(args)
-    dd = _build_deformed(config)
-    bundle, info = _bundle_for(dd, args, config)
+    dd, tol = _build_deformed(args)
     names = None
     if args.checks and args.checks != "all":
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
-    reports = verify.run_all_checks(
-        dd, bundle, checks=names, n_samples=config.samples,
-        seed=config.seed, tolerance=config.tolerance,
-    )
-    payload = verify.aggregate_report(
-        dd, bundle, reports, seed=config.seed, tolerance=config.tolerance,
-        include_timestamp=not args.no_timestamp,
-    )
-    payload.update(info)
-    _emit(payload, config.out)
+    _, _, payload = _run_checks(dd, args, tol, names)
+    _emit(payload, args.out)
     return 1 if payload["violations_total"] > 0 else 0
 
 
 def cmd_report(args):
-    config = _config_from_args(args)
-    dd = _build_deformed(config)
-    bundle, info = _bundle_for(dd, args, config)
-    out_dir = config.out or "."
+    dd, tol = _build_deformed(args)
+    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    reports = verify.run_all_checks(
-        dd, bundle, n_samples=config.samples, seed=config.seed,
-        tolerance=config.tolerance,
-    )
-    aggregate = verify.aggregate_report(
-        dd, bundle, reports, seed=config.seed, tolerance=config.tolerance,
-        include_timestamp=not args.no_timestamp,
-    )
-    aggregate.update(info)
+    bundle, reports, aggregate = _run_checks(dd, args, tol)
     synth = predicted_vs_measured(
-        dd, bundle, n_pairs=config.samples, n_to_infinity=args.inf_queries,
-        seed=config.seed, tolerance=config.tolerance,
+        dd, bundle, n_pairs=args.samples, n_to_infinity=args.inf_queries,
+        seed=args.seed, tolerance=tol,
     )
     with open(os.path.join(out_dir, "aggregate.json"), "w") as fh:
         fh.write(json.dumps(aggregate, sort_keys=True, indent=2) + "\n")

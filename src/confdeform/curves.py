@@ -14,8 +14,6 @@ constant making the curve uniform is the larger of the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _graphs
@@ -128,27 +126,20 @@ class Curve:
 # -- uniformity measurement ------------------------------------------------
 
 
-def _metric_arrays(curve, metric):
-    if metric == "phi":
-        return curve.incr_phi, curve.total_phi, True
-    if metric == "d":
-        return curve.incr_d, curve.total_d, False
-    raise CurveError(f"unknown metric {metric!r}")
-
-
-def _endpoint_distance(curve, deformed):
+def _metric(curve, metric):
+    """(increments, total, view, boundary distances) of the curve in one
+    metric.  The boundary distances are None for a curve with no interior
+    vertex, so measuring it makes no multi-source run."""
     dd = curve.dd
-    if curve.to_infinity:
-        if not deformed:
-            raise CurveError("distance to infinity is only defined when deformed")
-        # conservative choice: the low end of the interval inflates the ratio
-        return curve.estimate.lower
-    if deformed:
-        return dd.dphi_distance(curve.start_id, curve.end_id)
-    val = dd.domain.view.distance(int(curve.vertices[0]), int(curve.vertices[-1]))
-    if not np.isfinite(val):
-        raise CurveError("curve endpoints are not connected through the open domain")
-    return val
+    if metric == "phi":
+        out = curve.incr_phi, curve.total_phi, dd.view
+    elif metric == "d":
+        out = curve.incr_d, curve.total_d, dd.domain.view
+    else:
+        raise CurveError(f"unknown metric {metric!r}")
+    if len(curve) < 3:
+        return (*out, None)
+    return (*out, dd.boundary_field_phi if metric == "phi" else dd.field.values)
 
 
 def _arm_lengths(incr):
@@ -158,65 +149,34 @@ def _arm_lengths(incr):
     return np.minimum(left, right)
 
 
-def _uniformity(curve, metric, endpoint_distance, boundary_values):
-    """(least uniformity constant, witness naming the ratio that sets it)."""
-    incr, total, deformed = _metric_arrays(curve, metric)
-    if endpoint_distance is None:
-        endpoint_distance = _endpoint_distance(curve, deformed)
+def uniformity_constant(curve, metric="phi", endpoint_distance=None):
+    """Least C for which the curve is C-uniform in the chosen metric: the
+    larger of the detour ratio and the worst clearance ratio.
+
+    ``endpoint_distance`` defaults to the distance between the curve's ends
+    in that metric; an override lets callers reuse one already computed.
+    """
+    incr, total, view, bvals = _metric(curve, metric)
+    if endpoint_distance is None and curve.to_infinity:
+        if metric != "phi":
+            raise CurveError("distance to infinity is only defined when deformed")
+        # conservative choice: the low end of the interval inflates the ratio
+        endpoint_distance = curve.estimate.lower
+    elif endpoint_distance is None:
+        endpoint_distance = view.distance(int(curve.vertices[0]),
+                                          int(curve.vertices[-1]))
+        if not np.isfinite(endpoint_distance):
+            raise CurveError("curve endpoints are not connected through the "
+                             "open domain")
     if endpoint_distance <= 0:
         raise CurveError("endpoint distance must be positive")
     constant = total / endpoint_distance
-    witness = {"kind": "detour", "ratio": constant}
-    if len(curve) > 2:
-        if boundary_values is None:
-            boundary_values = (curve.dd.boundary_field_phi if deformed
-                               else curve.dd.field.values)
-        clearance = boundary_values[curve.vertices[1:-1]]
-        if (clearance <= 0).any():
-            raise CurveError("curve passes through a boundary vertex")
-        ratios = _arm_lengths(incr) / clearance
-        worst = int(np.argmax(ratios))
-        if ratios[worst] > constant:
-            constant = float(ratios[worst])
-            witness = {
-                "kind": "clearance",
-                "vertex": curve.dd.domain.vertex_id(curve.vertices[worst + 1]),
-                "ratio": constant,
-            }
-    return constant, witness
-
-
-def uniformity_constant(curve, metric="phi", endpoint_distance=None,
-                        boundary_values=None):
-    """Least C for which the curve is C-uniform in the chosen metric.
-
-    ``endpoint_distance`` and ``boundary_values`` default to the deformed
-    (or base) distances of the owning domain; overrides let callers reuse
-    precomputed fields.
-    """
-    return _uniformity(curve, metric, endpoint_distance, boundary_values)[0]
-
-
-@dataclass(frozen=True)
-class UniformityCheck:
-    passed: bool
-    constant: float
-    bound: float
-    witness: dict
-
-
-def check_uniform(curve, bound, metric="phi", tolerance=0.0,
-                  endpoint_distance=None, boundary_values=None):
-    """Pass iff the curve is ``bound``-uniform up to a tolerance factor.
-
-    On failure the witness names the violated ratio: the detour ratio, or
-    the interior vertex with the worst clearance ratio.
-    """
-    constant, witness = _uniformity(curve, metric, endpoint_distance,
-                                    boundary_values)
-    passed = constant <= bound * (1.0 + tolerance)
-    return UniformityCheck(passed=passed, constant=constant, bound=bound,
-                           witness={} if passed else witness)
+    if bvals is None:
+        return constant
+    clearance = bvals[curve.vertices[1:-1]]
+    if (clearance <= 0).any():
+        raise CurveError("curve passes through a boundary vertex")
+    return max(constant, float((_arm_lengths(incr) / clearance).max()))
 
 
 def subcurve_excess_ratio(curve, metric="phi"):
@@ -229,15 +189,12 @@ def subcurve_excess_ratio(curve, metric="phi"):
     distance exceeds.  The run from the smaller index, made last, is exact
     that far, so it also answers the whole-curve distance.
     """
-    dd = curve.dd
     if curve.to_infinity:
         raise CurveError("subcurve scan expects a two-endpoint curve")
     if len(curve) < 3:
         return 1.0
-    incr, total, deformed = _metric_arrays(curve, metric)
+    incr, total, view, bvals = _metric(curve, metric)
     n = len(curve)
-    view = dd.view if deformed else dd.domain.view
-    bvals = dd.boundary_field_phi if deformed else dd.field.values
     left = np.concatenate([[0.0], np.cumsum(incr)])
     # the prefix sums may end a few ulps above the total, and a distance
     # summed in another order a few ulps above the length

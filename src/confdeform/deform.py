@@ -152,20 +152,7 @@ class DeformedDomain:
         return _graphs.min_distance_field(self.adjacency_phi_interior,
                                           self.domain.frontier_idx)
 
-    def dphi_boundary_distance(self, x=None):
-        """Deformed distance to the boundary for one id, or the full field."""
-        if x is None:
-            return self.boundary_field_phi
-        return float(self.boundary_field_phi[self.domain.index(x)])
-
     # -- the point at infinity ---------------------------------------------------
-
-    @property
-    def frontier_min_depth(self):
-        """Smallest distance-to-boundary value on the frontier ring."""
-        if self.domain.frontier_idx.size == 0:
-            raise DeformError("domain has no frontier")
-        return float(self.field.values[self.domain.frontier_idx].min())
 
     @property
     def frontier_shell(self):
@@ -174,20 +161,26 @@ class DeformedDomain:
             raise DeformError("domain has no frontier")
         return int(self.field.shells[self.domain.frontier_idx].min())
 
-    def escape_bracket(self, shell):
-        """(esc_low, esc_high, floor) for a start in ``shell``: the escape cost
-        beyond the frontier is at least the weight's integral from the
-        frontier depth outward (an escape crosses every depth level left), at
-        most its dyadic majorant from one shell early (an escape ray from the
-        nearest frontier vertex); ``floor`` is the shell's coarea bound."""
-        return (self.weight.integral_tail(self.frontier_min_depth),
-                self.weight.tail_sum(max(self.frontier_shell - 1, 0)),
-                (5.0 / 11.0) * self.weight.tail_sum(shell + 1))
+    def infinity_interval(self, big_d, shell):
+        """(lower, upper, clamped) around the deformed distance to infinity
+        from starts in ``shell`` at deformed distance ``big_d`` (a float or
+        an array) from the frontier ring.  The escape cost beyond the
+        frontier is at least the weight's integral from the frontier depth
+        outward (an escape crosses every depth level left) and at most its
+        dyadic majorant from one shell early (an escape ray from the nearest
+        frontier vertex).  The lower end is kept above the shell's coarea
+        bound; where that lifts it past the upper end, which happens only
+        when the escape model fails, it is cut back and ``clamped`` is set."""
+        upper = big_d + self.weight.tail_sum(max(self.frontier_shell - 1, 0))
+        depth = float(self.field.values[self.domain.frontier_idx].min())
+        lower = np.maximum(big_d + self.weight.integral_tail(depth),
+                           (5.0 / 11.0) * self.weight.tail_sum(shell + 1))
+        return np.minimum(lower, upper), upper, lower > upper
 
     def dist_to_infinity(self, x):
         """Certified interval around the deformed distance to infinity: D, the
-        computed deformed distance to the frontier ring, plus the
-        :meth:`escape_bracket`, with the lower end kept above its floor."""
+        computed deformed distance to the frontier ring, plus the escape
+        bracket of :meth:`infinity_interval`."""
         ix = self.domain.index(x)
         if self.domain.frontier_idx.size == 0:
             raise DeformError("domain has no frontier; nothing escapes to infinity")
@@ -198,12 +191,11 @@ class DeformedDomain:
         if not math.isfinite(big_d):
             raise DeformError("frontier unreachable from this vertex")
         m = int(self.field.shells[ix])
-        esc_low, esc_high, floor = self.escape_bracket(m)
-        lower, upper = max(big_d + esc_low, floor), big_d + esc_high
-        clamped = lower > upper  # only when the escape model fails
+        lower, upper, clamped = self.infinity_interval(big_d, m)
         return InfinityEstimate(
-            vertex=int(x), lower=min(lower, upper), upper=upper, frontier_dphi=big_d,
-            shell=m, frontier_shell=self.frontier_shell, clamped=clamped,
+            vertex=int(x), lower=float(lower), upper=float(upper),
+            frontier_dphi=big_d, shell=m, frontier_shell=self.frontier_shell,
+            clamped=bool(clamped),
         )
 
 

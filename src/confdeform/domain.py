@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -90,16 +91,23 @@ class MetricDomain:
         mask.flags.writeable = False
         return mask
 
-    @property
+    @cached_property
     def mesh_size(self):
         """Edge-length scale h used for clamping and tolerances.
 
         Generated domains record it in ``meta``; for loaded domains it falls
-        back to the shortest edge.
+        back to the shortest edge.  Either way it must be a finite number of
+        at least 1e-6 times the median edge, or tolerances of 10h would
+        score float noise.
         """
         h = self.meta.get("h")
         if h is None:
             h = float(self.edge_len.min())
+        if (not isinstance(h, numbers.Real) or isinstance(h, bool)
+                or not math.isfinite(h)
+                or h < 1e-6 * float(np.median(self.edge_len))):
+            raise DomainError(f"mesh size {h!r} is not a finite number of at "
+                              "least 1e-6 times the median edge length")
         return float(h)
 
     @cached_property
@@ -296,6 +304,9 @@ def from_dict(data):
         raise DomainError("vertices, edges, boundary and frontier must be lists")
     if not raw_vertices:
         raise DomainError("domain has no vertices")
+    meta = data.get("meta", {})
+    if type(meta) is not dict:
+        raise DomainError(f"meta must be an object, not {type(meta).__name__}")
     try:
         ids = _integers(map(itemgetter("id"), raw_vertices), "a vertex id")
         n_xy = sum(map(contains, raw_vertices, repeat("xy")))
@@ -329,7 +340,7 @@ def from_dict(data):
         edge_v=lookup(map(itemgetter(1), raw_edges), "an edge endpoint"),
         boundary_idx=lookup(raw_boundary, "a boundary vertex id"),
         frontier_idx=lookup(data.get("frontier", []), "a frontier vertex id"),
-        meta=data.get("meta", {}),
+        meta=meta,
     )
 
 
@@ -367,10 +378,6 @@ class BoundaryDistanceField:
 
     values: np.ndarray
     shells: np.ndarray
-
-    @property
-    def max_shell(self):
-        return int(self.shells.max())
 
 
 def boundary_distance(domain):
@@ -437,8 +444,8 @@ def estimate_metric_constants(domain, bdry_field=None, n_pairs=400, seed=0):
                              replace=False)
         for t in targets:
             path = _graphs.extract_path(adj, dist, s, t)
-            # dist[v] == dist[u] + w(u, v) exactly along an extracted path,
-            # so differencing recovers the edge lengths without a lookup
+            # rounded differences, not the edge lengths: dist[v] is the float
+            # sum dist[u] + w(u, v), and dist[v] - dist[u] need not give w back
             steps = np.diff(dist[path])
             total = dist[t]
             if domain.coords is not None:

@@ -355,9 +355,11 @@ def check_boundary_identification(dd, bundle, n_samples=200, seed=0,
 def check_separation_from_infinity(dd, bundle, n_samples=0, seed=0,
                                    tolerance=None):
     """The point at infinity stays at positive deformed distance from every
-    boundary vertex.  On generated half-plane domains with a power weight
-    the boundary value has the closed form beta/(beta-1); the interval
-    midpoint must land within 2 percent plus the interval width.
+    boundary vertex, and no boundary interval is clamped (a clamp means the
+    escape model failed, so the interval certifies nothing).  On generated
+    half-plane domains with a power weight the boundary value has the closed
+    form beta/(beta-1); the interval midpoint must land within 2 percent
+    plus the interval width.
 
     All boundary vertices are checked (the sample budget is ignored); the
     frontier distances come from one frontier-rooted sweep on the full
@@ -372,9 +374,10 @@ def check_separation_from_infinity(dd, bundle, n_samples=0, seed=0,
         return rep
     weight = dd.weight
     dist_fr = _graphs.min_distance_field(dd.adjacency_phi, domain.frontier_idx)
-    esc_low, esc_high, base_low = dd.escape_bracket(0)
-    lowers = np.maximum(dist_fr[domain.boundary_idx] + esc_low, base_low)
-    uppers = dist_fr[domain.boundary_idx] + esc_high
+    lowers, uppers, clamped = dd.infinity_interval(dist_fr[domain.boundary_idx], 0)
+    for i in np.flatnonzero(clamped):
+        rep.score(np.inf, {"kind": "clamped", "upper": float(uppers[i]),
+                           "zeta": domain.vertex_id(domain.boundary_idx[i])})
     min_i = int(np.argmin(lowers))
     min_lower = float(lowers[min_i])
     rep.samples = len(lowers)
@@ -448,7 +451,7 @@ def subcurve_excess_report(dd, n_curves=6, seed=0, tolerance=None):
 
 
 def aggregate_report(dd, bundle, reports, seed, tolerance=None,
-                     subcurves=True, include_timestamp=True):
+                     include_timestamp=True):
     """Bundle checker reports with run provenance into one JSON-ready dict."""
     tolerance = default_tolerance(dd, tolerance)
     out = {
@@ -459,10 +462,9 @@ def aggregate_report(dd, bundle, reports, seed, tolerance=None,
         "seed": seed,
         "tolerance": tolerance,
         "violations_total": int(sum(r.violations for r in reports)),
+        "subcurve_excess": subcurve_excess_report(dd, seed=seed,
+                                                  tolerance=tolerance),
     }
-    if subcurves:
-        out["subcurve_excess"] = subcurve_excess_report(
-            dd, seed=seed, tolerance=tolerance)
     if include_timestamp:
         out["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     return out

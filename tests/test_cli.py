@@ -233,6 +233,12 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
       "--from", "0,1", "--to", "0,1"], "endpoints must differ"),
     (["distance", *COMMON, "--from", "id:99999999999999999999", "--to", "0,2"],
      "does not fit in 64 bits"),
+    (["distance", *COMMON, "--quad", "nope", "--from", "0,1", "--to", "0,2"],
+     "unknown quadrature"),
+    (["distance", *COMMON, "--quad", "subdivided:0", "--from", "0,1", "--to", "0,2"],
+     "subdivision count"),
+    (["check", *COMMON, "--tol", "abc", "--cu", "2", "--cq", "1"],
+     "could not convert"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)
@@ -266,3 +272,31 @@ def test_malformed_edge_in_domain_file_exits_2(tmp_path):
                         "--from", "id:0", "--to", "id:1"])
     assert code == 2
     assert "is not a list" in err
+
+
+@pytest.mark.parametrize("meta, first_edge, fragment", [
+    ([1], None, "meta must be an object"),
+    ("h=0.5", None, "meta must be an object"),
+    (0.5, None, "meta must be an object"),
+    ({"h": True}, None, "mesh size"),
+    ({"h": "0.25"}, None, "mesh size"),
+    ({"h": 1e-300}, None, "mesh size"),
+    ({"h": float("nan")}, None, "mesh size"),
+    ({}, 1e-300, "mesh size"),  # the shortest-edge fallback
+])
+def test_malformed_meta_in_domain_file_exits_2(tmp_path, meta, first_edge,
+                                               fragment):
+    path = str(tmp_path / "strip.json")
+    assert run(["generate", "--spec", "strip:width=2,h=0.5", "--out", path])[0] == 0
+    with open(path) as fh:
+        record = json.load(fh)
+    record["meta"] = meta
+    if first_edge is not None:
+        record["edges"][0][2] = first_edge
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+    code, _, err = run(["distance", "--domain", path, "--weight", W,
+                        "--from", "id:0", "--to", "id:1"])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert fragment in err

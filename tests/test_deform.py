@@ -203,12 +203,12 @@ def test_geodesic_between_neighbours(hp, dd2):
 
 def test_dphi_boundary_distance(hp, dd2):
     b = int(hp.ids[hp.boundary_idx[0]])
-    assert dd2.dphi_boundary_distance(b) == 0.0
+    assert dd2.boundary_field_phi[hp.index(b)] == 0.0
     # shallow vertices see an unweighted neighbourhood: deformed and base
     # boundary distances agree there
     x = hp.nearest_vertex(0.0, 0.5)
-    assert dd2.dphi_boundary_distance(x) == 0.5
-    field = dd2.dphi_boundary_distance()
+    assert dd2.boundary_field_phi[hp.index(x)] == 0.5
+    field = dd2.boundary_field_phi
     assert field.shape == (hp.n_vertices,)
     assert (field[hp.boundary_idx] == 0.0).all()
     # deformed boundary distance never exceeds the base one

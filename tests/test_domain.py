@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confdeform
 from confdeform import domain as dom
 from confdeform.domain import (
     DomainError,
@@ -81,7 +82,7 @@ def test_half_plane_boundary_distance_is_height():
     d = half_plane(width=4, depth=3, h=0.5, conn=8)
     field = boundary_distance(d)
     assert np.allclose(field.values, d.coords[:, 1], rtol=0, atol=1e-12)
-    assert field.max_shell == 2
+    assert field.shells.max() == 2
     assert (field.shells == shell_index(field.values)).all()
 
 
@@ -90,7 +91,7 @@ def test_strip_has_no_frontier_and_unit_depth():
     assert s.frontier_idx.size == 0
     field = boundary_distance(s)
     assert field.values.max() == 1.0
-    assert field.max_shell == 0
+    assert field.shells.max() == 0
 
 
 def test_slit_plane_topology():
@@ -456,3 +457,8 @@ def test_path_domain_round_trip_property(n, seed):
     assert from_dict(d.to_dict()).to_dict() == d.to_dict()
     field = boundary_distance(d)
     assert np.allclose(field.values, heights, rtol=0, atol=1e-12)
+
+
+def test_every_exported_name_resolves():
+    missing = [n for n in confdeform.__all__ if not hasattr(confdeform, n)]
+    assert missing == []

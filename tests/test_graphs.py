@@ -90,9 +90,12 @@ def test_kernel_builds_once_or_warns(tmp_path, monkeypatch, caplog):
     src = Path(_graphs.__file__).with_name("_dijkstra.c")
     (tmp_path / src.name).write_bytes(src.read_bytes())
     monkeypatch.setattr(_graphs, "__file__", str(tmp_path / "_graphs.py"))
+    stale = tmp_path / "_dijkstra_0000000000000000.so"  # an older source's
+    stale.write_bytes(b"")
     assert _graphs._load_kernel() is not None
     built = sorted(p.name for p in tmp_path.iterdir())
     assert len(built) == 2 and built[1].endswith(".so")
+    assert not stale.exists()
     # a second import loads the built library and leaves no temp file
     assert _graphs._load_kernel() is not None
     assert sorted(p.name for p in tmp_path.iterdir()) == built
@@ -150,7 +153,7 @@ def test_pairwise_distances_exact_metric_axioms():
     rng = np.random.default_rng(7)
     adj = _random_geometric_adjacency(rng)
     verts = rng.choice(adj.shape[0], size=12, replace=False)
-    raw = _graphs.pairwise_distances(adj, verts, tighten=False)
+    raw = np.stack([_graphs.distances_from(adj, v)[verts] for v in verts])
     mat = _graphs.pairwise_distances(adj, verts)
     assert (mat == mat.T).all()
     assert (np.diag(mat) == 0.0).all()

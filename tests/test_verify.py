@@ -140,6 +140,18 @@ def test_separation_closed_form_on_half_plane(dd16, bundle22):
     assert abs(rep.notes["midpoint"] - 2.0) < 0.2
 
 
+def test_separation_counts_a_clamped_interval(bundle22, monkeypatch):
+    dd = deform(generate_domain("half_plane:width=4,depth=8,h=0.5,conn=8"), W2)
+    # a broken escape model: the upper escape cost vanishes below the lower
+    monkeypatch.setattr(WeightFunction, "tail_sum", lambda self, m: 0.0)
+    rep = check_separation_from_infinity(dd, bundle22)
+    # every boundary interval is clamped, on top of any closed-form miss
+    assert rep.samples == dd.domain.boundary_idx.size
+    assert rep.violations >= rep.samples
+    assert rep.witnesses[0]["kind"] == "clamped"
+    assert rep.notes["width"] == 0.0
+
+
 def test_separation_without_frontier(bundle22):
     dd = deform(strip(4, 0.5), W2)
     rep = check_separation_from_infinity(dd, bundle22)
@@ -189,8 +201,8 @@ def test_aggregate_report_shape(dd16, bundle22):
     assert len(agg["timestamp"]) == 19 and agg["timestamp"][10] == "T"
     assert agg["subcurve_excess"]
     bare = aggregate_report(dd16, bundle22, reports, seed=4,
-                            subcurves=False, include_timestamp=False)
-    assert "timestamp" not in bare and "subcurve_excess" not in bare
+                            include_timestamp=False)
+    assert "timestamp" not in bare
 
 
 def test_report_csv_round_trips_ratios(dd16, bundle22):
