@@ -21,32 +21,35 @@ from scipy.sparse.csgraph import dijkstra
 
 
 def _load_kernel():
-    """The C kernel of ``_dijkstra.c``, built once per source hash into the
-    package directory (a build removes the libraries of other hashes), or
-    None (with one warning) where it cannot be."""
-    src = Path(__file__).with_name("_dijkstra.c")
+    """The C library of ``_dijkstra.c`` and ``_scan.c``, built once per hash
+    of the sources into the package directory (a build removes the libraries
+    of other hashes), or None (with one warning) where it cannot be."""
+    sources = [Path(__file__).with_name(name) for name in ("_dijkstra.c", "_scan.c")]
     flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
     try:
-        key = hashlib.sha256(src.read_bytes() + str(flags).encode()).hexdigest()
-        lib = src.with_name(f"_dijkstra_{key[:16]}.so")
+        key = hashlib.sha256(b"".join(src.read_bytes() for src in sources)
+                             + str(flags).encode()).hexdigest()
+        lib = sources[0].with_name(f"_kernel_{key[:16]}.so")
         if not lib.exists():
             tmp = lib.with_suffix(f".{os.getpid()}.tmp")  # racing builds agree
-            subprocess.run(["cc", *flags, "-o", tmp, src], check=True,
+            subprocess.run(["cc", *flags, "-o", tmp, *sources], check=True,
                            capture_output=True)
             os.replace(tmp, lib)
-            for stale in set(lib.parent.glob("_dijkstra_*.so")) - {lib}:
-                stale.unlink(missing_ok=True)  # built from an older source
+            for stale in set(lib.parent.glob("_kernel_*.so")) - {lib}:
+                stale.unlink(missing_ok=True)  # built from older sources
         kernel = ctypes.CDLL(str(lib))
     except (OSError, subprocess.SubprocessError) as exc:
         logging.getLogger("confdeform").warning(
-            "C Dijkstra kernel unavailable, using scipy: %s", exc)
+            "C kernel unavailable, using scipy and json.load: %s", exc)
         return None
-    i32, f64 = ctypes.c_int32, ctypes.c_double
+    i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
     i4, f8, i8 = (np.ctypeslib.ndpointer(t, flags="C")
                   for t in (np.int32, np.float64, np.int64))
     kernel.cd_dijkstra.argtypes = [i32, i4, i4, f8, i32, f64, i32, i4, f8, f8]
     kernel.cd_walk.argtypes = [i32, i4, i4, f8, f8, i32, i32, i8]
+    kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, i8, i8, f8, i8, f8, i8, i8]
     kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
+    kernel.cd_scan.restype = ctypes.c_int
     return kernel
 
 

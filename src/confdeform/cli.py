@@ -68,18 +68,28 @@ def _emit(payload, out_path):
         sys.stdout.write(text)
 
 
-def _build_deformed(args):
-    """(deformed domain, additive tolerance or None for auto).  Every run
-    flag is checked before the domain loads."""
-    tol = None if args.tol in (None, "auto") else float(args.tol)
+def _run_flags(args):
+    """(quadrature, additive tolerance or None for auto) of the checked run
+    flags."""
+    try:
+        tol = None if args.tol in (None, "auto") else float(args.tol)
+    except ValueError:
+        raise ValueError(f"--tol must be 'auto' or a number >= 1, "
+                         f"got {args.tol!r}") from None
     quad = parse_quadrature(args.quad)
     if args.samples < 1:
         raise ValueError("sample budget must be at least 1")
-    if tol is not None and tol < 1.0:
+    if tol is not None and not tol >= 1.0:
         raise ValueError("tolerance factor must be at least 1")
+    return quad, None if tol is None else tol - 1.0
+
+
+def _build_deformed(args):
+    """(deformed domain, additive tolerance or None for auto).  Every run
+    flag is checked before the domain loads."""
+    quad, tol = _run_flags(args)
     weight = WeightFunction.parse(args.weight)
-    dd = DeformedDomain(_load_domain(args.domain), weight, quadrature=quad)
-    return dd, None if tol is None else tol - 1.0
+    return DeformedDomain(_load_domain(args.domain), weight, quadrature=quad), tol
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -135,9 +145,9 @@ def cmd_geodesic(args):
 
 
 def cmd_constants(args):
-    weight = WeightFunction.parse(args.weight)
     if args.cu is not None and args.cq is not None:
-        bundle = derive_constants(weight, args.cu, args.cq)
+        _run_flags(args)
+        bundle = derive_constants(WeightFunction.parse(args.weight), args.cu, args.cq)
         _emit(bundle.to_dict(), args.out)
         return 0
     if args.domain is None:

@@ -24,8 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import contains, itemgetter
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -299,27 +298,19 @@ def from_dict(data):
         raw_boundary = data["boundary"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"missing required domain field: {exc}") from exc
+    raw_frontier = data.get("frontier", [])
     if any(type(f) is not list for f in (raw_vertices, raw_edges, raw_boundary,
-                                          data.get("frontier", []))):
+                                          raw_frontier)):
         raise DomainError("vertices, edges, boundary and frontier must be lists")
-    if not raw_vertices:
-        raise DomainError("domain has no vertices")
-    meta = data.get("meta", {})
-    if type(meta) is not dict:
-        raise DomainError(f"meta must be an object, not {type(meta).__name__}")
     try:
         ids = _integers(map(itemgetter("id"), raw_vertices), "a vertex id")
-        n_xy = sum(map(contains, raw_vertices, repeat("xy")))
+        raw_xy = [v["xy"] for v in raw_vertices if "xy" in v]
     except (KeyError, TypeError):
         raise DomainError('every vertex must be an object with an "id"') from None
-    coords = None
-    if n_xy == len(raw_vertices):
-        try:
-            coords = np.array(list(map(itemgetter("xy"), raw_vertices)), np.float64)
-        except (TypeError, ValueError):
-            raise DomainError("vertex coordinates must be pairs of numbers") from None
-    elif n_xy:
-        raise DomainError("either all vertices carry coordinates or none do")
+    try:
+        coords = np.array(raw_xy, np.float64)
+    except (TypeError, ValueError):
+        raise DomainError("vertex coordinates must be pairs of numbers") from None
     if not set(map(type, raw_edges)) <= {list} or not set(map(len, raw_edges)) <= {3}:
         bad = next(e for e in raw_edges if type(e) is not list or len(e) != 3)
         raise DomainError(f"edge {bad!r} is not a list [u, v, length]")
@@ -328,23 +319,73 @@ def from_dict(data):
                                count=len(raw_edges))
     except (TypeError, ValueError):
         raise DomainError("edge lengths must be numbers") from None
+    return _from_columns(
+        ids, coords,
+        _integers(map(itemgetter(0), raw_edges), "an edge endpoint"),
+        _integers(map(itemgetter(1), raw_edges), "an edge endpoint"),
+        edge_len,
+        _integers(raw_boundary, "a boundary vertex id"),
+        _integers(raw_frontier, "a frontier vertex id"),
+        data.get("meta", {}),
+    )
+
+
+def _from_columns(ids, coords, edge_u, edge_v, edge_len, boundary, frontier,
+                  meta):
+    """The checks both readers share, then the domain.  Ids, edge ends and
+    markers are int64 arrays of vertex ids; ``coords`` holds the pairs of
+    the vertices that carry one."""
+    if len(ids) == 0:
+        raise DomainError("domain has no vertices")
+    if type(meta) is not dict:
+        raise DomainError(f"meta must be an object, not {type(meta).__name__}")
+    if len(coords) not in (0, len(ids)):
+        raise DomainError("either all vertices carry coordinates or none do")
     by_id = _id_lookup(ids)
 
-    def lookup(values, what):
-        return by_id(_integers(values, what),
-                     "edge or marker refers to unknown vertex id")
+    def lookup(values):
+        return by_id(values, "edge or marker refers to unknown vertex id")
 
     return MetricDomain(
-        ids=ids, coords=coords, edge_len=edge_len,
-        edge_u=lookup(map(itemgetter(0), raw_edges), "an edge endpoint"),
-        edge_v=lookup(map(itemgetter(1), raw_edges), "an edge endpoint"),
-        boundary_idx=lookup(raw_boundary, "a boundary vertex id"),
-        frontier_idx=lookup(data.get("frontier", []), "a frontier vertex id"),
+        ids=ids, coords=coords if len(coords) else None, edge_len=edge_len,
+        edge_u=lookup(edge_u), edge_v=lookup(edge_v),
+        boundary_idx=lookup(boundary), frontier_idx=lookup(frontier),
         meta=meta,
     )
 
 
+def _scan(path):
+    """The columns of :func:`_from_columns` as the C scanner reads them from
+    the file's bytes, or None where it declines them (or did not load)."""
+    kernel = _graphs._kernel
+    if kernel is None:
+        return None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    counts = np.zeros(7, np.int64)
+    for _ in range(2):  # count, then fill arrays of exactly those sizes
+        n_ids, n_xy, n_edges, n_boundary, n_frontier = counts[:5]
+        cols = (np.empty(n_ids, np.int64), np.empty((n_xy, 2)),
+                np.empty((n_edges, 2), np.int64), np.empty(n_edges),
+                np.empty(n_boundary, np.int64), np.empty(n_frontier, np.int64))
+        if kernel.cd_scan(raw, len(raw), counts, *cols):
+            return None
+    at, end = counts[5:]
+    try:
+        meta = {} if at < 0 else json.loads(raw[at:end].decode("ascii"))
+    except ValueError:  # not ASCII, or not JSON
+        return None
+    ids, coords, ends, edge_len, boundary, frontier = cols
+    return ids, coords, ends[:, 0], ends[:, 1], edge_len, boundary, frontier, meta
+
+
 def load_domain(path):
+    """Read a domain file: the C scanner's columns where it takes the bytes,
+    else ``json.load`` and :func:`from_dict`, whose errors stay the ones
+    raised."""
+    columns = _scan(path)
+    if columns is not None:
+        return _from_columns(*columns)
     with open(path) as fh:
         try:
             data = json.load(fh)

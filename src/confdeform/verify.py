@@ -201,7 +201,8 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
 def check_dist_to_infty(dd, bundle, n_samples=200, seed=0, tolerance=None):
     """Infinity intervals for points in shells m >= n0+2 nest into the
     analytic band [(5/11) tail(m+1), cu*cphi*tail(m-n0)] within tolerance
-    and intersect it outright."""
+    and intersect it outright.  A clamped interval is a violation: the
+    escape model failed, so it certifies nothing."""
     tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
     weight = dd.weight
@@ -214,6 +215,11 @@ def check_dist_to_infty(dd, bundle, n_samples=200, seed=0, tolerance=None):
     for x in stratified_pick(groups, rng, n_samples):
         m = int(dd.field.shells[x])
         est = dd.dist_to_infinity(dd.domain.vertex_id(x))
+        rep.samples += 1
+        if est.clamped:
+            rep.score(np.inf, {"kind": "clamped", "x": dd.domain.vertex_id(x),
+                               "m": m, "interval": [est.lower, est.upper]})
+            continue
         band_low = (5.0 / 11.0) * weight.tail_sum(m + 1)
         band_up = bundle.cu * bundle.c_phi * weight.tail_sum(m - bundle.n0)
         ratio = max(
@@ -222,7 +228,6 @@ def check_dist_to_infty(dd, bundle, n_samples=200, seed=0, tolerance=None):
             est.lower / band_up,
             band_low / est.upper,
         )
-        rep.samples += 1
         rep.score(ratio, {
             "x": dd.domain.vertex_id(x), "m": m,
             "interval": [est.lower, est.upper],

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from confdeform import cli, verify
+from confdeform import _graphs, cli, verify
 from confdeform.verify import CheckReport
 
 DOM = "half_plane:width=4,depth=8,h=0.25,conn=8"
@@ -20,6 +20,15 @@ def run(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_both(argv, monkeypatch):
+    """run(argv) with the C library, which reads domain files with its
+    scanner, and again without it (json.load); the two must agree."""
+    ran = run(argv)
+    monkeypatch.setattr(_graphs, "_kernel", None)
+    assert run(argv) == ran
+    return ran
 
 
 def test_generate_writes_loadable_domain(tmp_path):
@@ -238,7 +247,16 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
     (["distance", *COMMON, "--quad", "subdivided:0", "--from", "0,1", "--to", "0,2"],
      "subdivision count"),
     (["check", *COMMON, "--tol", "abc", "--cu", "2", "--cq", "1"],
-     "could not convert"),
+     "--tol must be 'auto' or a number >= 1, got 'abc'"),
+    # with both constants given, constants loads no domain but checks flags
+    (["constants", "--weight", W, "--cu", "2", "--cq", "1", "--quad", "nope"],
+     "unknown quadrature"),
+    (["constants", "--weight", W, "--cu", "2", "--cq", "1", "--samples", "0"],
+     "sample budget"),
+    (["constants", "--weight", W, "--cu", "2", "--cq", "1", "--tol", "0.5"],
+     "tolerance factor"),
+    (["check", *COMMON, "--tol", "nan", "--cu", "2", "--cq", "1"],
+     "tolerance factor"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)
@@ -247,7 +265,7 @@ def test_bad_input_exits_2(argv, fragment):
     assert fragment in err
 
 
-def test_repeated_edge_in_domain_file_exits_2(tmp_path):
+def test_repeated_edge_in_domain_file_exits_2(tmp_path, monkeypatch):
     path = str(tmp_path / "strip.json")
     assert run(["generate", "--spec", "strip:width=2,h=0.5", "--out", path])[0] == 0
     with open(path) as fh:
@@ -256,20 +274,20 @@ def test_repeated_edge_in_domain_file_exits_2(tmp_path):
     record["edges"].append([v, u, w])
     with open(path, "w") as fh:
         json.dump(record, fh)
-    code, _, err = run(["distance", "--domain", path, "--weight", W,
-                        "--from", f"id:{u}", "--to", f"id:{v}"])
+    code, _, err = run_both(["distance", "--domain", path, "--weight", W,
+                             "--from", f"id:{u}", "--to", f"id:{v}"], monkeypatch)
     assert code == 2
     assert "more than once" in err
 
 
-def test_malformed_edge_in_domain_file_exits_2(tmp_path):
+def test_malformed_edge_in_domain_file_exits_2(tmp_path, monkeypatch):
     # an exit code of 1 would read as a violation
     path = str(tmp_path / "short.json")
     with open(path, "w") as fh:
         json.dump({"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]],
                    "boundary": [0]}, fh)
-    code, _, err = run(["distance", "--domain", path, "--weight", W,
-                        "--from", "id:0", "--to", "id:1"])
+    code, _, err = run_both(["distance", "--domain", path, "--weight", W,
+                             "--from", "id:0", "--to", "id:1"], monkeypatch)
     assert code == 2
     assert "is not a list" in err
 
@@ -284,8 +302,8 @@ def test_malformed_edge_in_domain_file_exits_2(tmp_path):
     ({"h": float("nan")}, None, "mesh size"),
     ({}, 1e-300, "mesh size"),  # the shortest-edge fallback
 ])
-def test_malformed_meta_in_domain_file_exits_2(tmp_path, meta, first_edge,
-                                               fragment):
+def test_malformed_meta_in_domain_file_exits_2(tmp_path, monkeypatch, meta,
+                                               first_edge, fragment):
     path = str(tmp_path / "strip.json")
     assert run(["generate", "--spec", "strip:width=2,h=0.5", "--out", path])[0] == 0
     with open(path) as fh:
@@ -295,8 +313,8 @@ def test_malformed_meta_in_domain_file_exits_2(tmp_path, meta, first_edge,
         record["edges"][0][2] = first_edge
     with open(path, "w") as fh:
         json.dump(record, fh)
-    code, _, err = run(["distance", "--domain", path, "--weight", W,
-                        "--from", "id:0", "--to", "id:1"])
+    code, _, err = run_both(["distance", "--domain", path, "--weight", W,
+                             "--from", "id:0", "--to", "id:1"], monkeypatch)
     assert code == 2
     assert err.startswith("error: ")
     assert fragment in err

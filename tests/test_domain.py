@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confdeform
+from confdeform import _graphs
 from confdeform import domain as dom
 from confdeform.domain import (
     DomainError,
@@ -315,22 +316,35 @@ def test_save_writes_in_blocks(tmp_path, monkeypatch):
     assert (tmp_path / "dom.json").read_bytes() == _oracle_bytes(d)
 
 
-def test_from_dict_errors(tmp_path):
+def _rejected(record, match, tmp_path, monkeypatch):
+    """from_dict, and load_domain on the record's file with the C scanner
+    and with json.load, each raise a DomainError matching ``match``."""
+    with pytest.raises(DomainError, match=match):
+        from_dict(record)
+    path = tmp_path / "dom.json"
+    path.write_text(json.dumps(record))
+    for kernel in (_graphs._kernel, None):
+        monkeypatch.setattr(_graphs, "_kernel", kernel)
+        with pytest.raises(DomainError, match=match):
+            load_domain(path)
+
+
+def test_from_dict_errors(tmp_path, monkeypatch):
     base = half_plane(width=2, depth=1, h=1.0, conn=4).to_dict()
-    with pytest.raises(DomainError):
-        from_dict({"vertices": base["vertices"]})
+    _rejected({"vertices": base["vertices"]}, "missing required domain field",
+              tmp_path, monkeypatch)
     missing_edge_ref = json.loads(json.dumps(base))
     missing_edge_ref["edges"][0][0] = 999
-    with pytest.raises(DomainError):
-        from_dict(missing_edge_ref)
+    _rejected(missing_edge_ref, "unknown vertex id 999", tmp_path, monkeypatch)
     mixed = json.loads(json.dumps(base))
     del mixed["vertices"][0]["xy"]
-    with pytest.raises(DomainError):
-        from_dict(mixed)
+    _rejected(mixed, "either all vertices", tmp_path, monkeypatch)
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json")
-    with pytest.raises(DomainError):
-        load_domain(bad_json)
+    for kernel in (_graphs._kernel, None):
+        monkeypatch.setattr(_graphs, "_kernel", kernel)
+        with pytest.raises(DomainError, match="not valid JSON"):
+            load_domain(bad_json)
 
 
 def _strip_record():
@@ -338,52 +352,46 @@ def _strip_record():
 
 
 @pytest.mark.parametrize("edge", [[0, 1], [0, 1, 1.0, 5], {"u": 0}, 3])
-def test_from_dict_rejects_an_edge_that_is_not_a_triple(edge):
+def test_from_dict_rejects_an_edge_that_is_not_a_triple(edge, tmp_path, monkeypatch):
     record = _strip_record()
     record["edges"].append(edge)
-    with pytest.raises(DomainError, match="is not a list"):
-        from_dict(record)
+    _rejected(record, "is not a list", tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("key", ["vertices", "edges", "boundary", "frontier"])
-def test_from_dict_rejects_a_field_that_is_not_a_list(key):
+def test_from_dict_rejects_a_field_that_is_not_a_list(key, tmp_path, monkeypatch):
     record = _strip_record()
     record[key] = 5
-    with pytest.raises(DomainError, match="must be lists"):
-        from_dict(record)
+    _rejected(record, "must be lists", tmp_path, monkeypatch)
 
 
-def test_from_dict_rejects_a_vertex_without_an_id():
+def test_from_dict_rejects_a_vertex_without_an_id(tmp_path, monkeypatch):
     record = _strip_record()
     record["vertices"][2] = {"xy": record["vertices"][2]["xy"]}
-    with pytest.raises(DomainError, match='"id"'):
-        from_dict(record)
+    _rejected(record, '"id"', tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, "1", True, None])
-def test_from_dict_rejects_a_non_integral_id(value):
+def test_from_dict_rejects_a_non_integral_id(value, tmp_path, monkeypatch):
     record = _strip_record()
     record["vertices"][1]["id"] = value
-    with pytest.raises(DomainError, match="vertex id must be an integer"):
-        from_dict(record)
+    _rejected(record, "vertex id must be an integer", tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("end", [0, 1])
-def test_from_dict_rejects_a_non_integral_edge_endpoint(end):
+def test_from_dict_rejects_a_non_integral_edge_endpoint(end, tmp_path, monkeypatch):
     # truncated, 1.7 would silently read as vertex 1
     record = _strip_record()
     record["edges"][0][end] = 1.7
-    with pytest.raises(DomainError, match="endpoint must be an integer, got 1.7"):
-        from_dict(record)
+    _rejected(record, "endpoint must be an integer, got 1.7", tmp_path, monkeypatch)
 
 
-def test_from_dict_names_the_first_unknown_id():
+def test_from_dict_names_the_first_unknown_id(tmp_path, monkeypatch):
     record = _strip_record()
     record["edges"][3][1] = 77
     record["edges"][1][1] = 55
     record["boundary"].append(99)
-    with pytest.raises(DomainError, match="unknown vertex id 55$"):
-        from_dict(record)
+    _rejected(record, "unknown vertex id 55$", tmp_path, monkeypatch)
 
 
 def test_index_rejects_unknown_ids():

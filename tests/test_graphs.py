@@ -81,26 +81,33 @@ def test_extract_path_unreachable():
 
 
 def test_kernel_loaded():
-    # the C kernel builds on import wherever a compiler is present; without
-    # it every run would quietly fall back to scipy
+    # the C library builds on import wherever a compiler is present; without
+    # it every run would quietly fall back to scipy, every load to json.load
     assert _graphs._kernel is not None
+    counts, none = np.zeros(7, np.int64), np.empty(0, np.int64)
+    raw = b'{"boundary": [], "edges": [], "vertices": []}'
+    assert _graphs._kernel.cd_scan(raw, len(raw), counts, none, np.empty((0, 2)),
+                                   np.empty((0, 2), np.int64), np.empty(0),
+                                   none, none) == 0
 
 
 def test_kernel_builds_once_or_warns(tmp_path, monkeypatch, caplog):
-    src = Path(_graphs.__file__).with_name("_dijkstra.c")
-    (tmp_path / src.name).write_bytes(src.read_bytes())
+    for name in ("_dijkstra.c", "_scan.c"):
+        src = Path(_graphs.__file__).with_name(name)
+        (tmp_path / name).write_bytes(src.read_bytes())
     monkeypatch.setattr(_graphs, "__file__", str(tmp_path / "_graphs.py"))
-    stale = tmp_path / "_dijkstra_0000000000000000.so"  # an older source's
+    stale = tmp_path / "_kernel_0000000000000000.so"  # older sources'
     stale.write_bytes(b"")
     assert _graphs._load_kernel() is not None
     built = sorted(p.name for p in tmp_path.iterdir())
-    assert len(built) == 2 and built[1].endswith(".so")
+    lib = [name for name in built if name.endswith(".so")]
+    assert len(built) == 3 and len(lib) == 1
     assert not stale.exists()
     # a second import loads the built library and leaves no temp file
     assert _graphs._load_kernel() is not None
     assert sorted(p.name for p in tmp_path.iterdir()) == built
     # with no compiler there is one warning and no kernel
-    (tmp_path / built[1]).unlink()
+    (tmp_path / lib[0]).unlink()
 
     def no_compiler(*args, **kwargs):
         raise FileNotFoundError("cc")

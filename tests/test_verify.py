@@ -96,6 +96,17 @@ def test_dist_to_infty_intervals_inside_band(dd16, bundle22):
     assert rep.worst_ratio < 1.0
 
 
+def test_dist_to_infty_counts_a_clamped_interval(dd16, bundle22, monkeypatch):
+    # a broken escape model: the lower escape cost lifts every interval past
+    # its upper end, and the point it is cut back to sits inside the band
+    monkeypatch.setattr(WeightFunction, "integral_tail", lambda self, d: 1e9)
+    rep = check_dist_to_infty(dd16, bundle22, n_samples=10, seed=1)
+    assert rep.samples == 10 and rep.violations == 10
+    assert rep.witnesses[0]["kind"] == "clamped"
+    lower, upper = rep.witnesses[0]["interval"]
+    assert lower == upper
+
+
 def test_dist_to_infty_empty_without_deep_shells(shallow, bundle22):
     rep = check_dist_to_infty(shallow, bundle22, n_samples=5, seed=0)
     assert rep.samples == 0 and rep.violations == 0
