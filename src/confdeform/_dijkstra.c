@@ -1,9 +1,11 @@
-/* Exact single-source Dijkstra on a CSR matrix, and the canonical
+/* Exact Dijkstra from one or many roots on a CSR matrix, and the canonical
  * predecessor walk, for confdeform._graphs (loaded through ctypes).
  *
  * With positive weights the settled values are the fixed point
  * dist[v] = min_u dist[u] + w(u, v), whatever the heap order, so a run is
  * bitwise equal to scipy.sparse.csgraph.dijkstra on the same matrix.
+ * Weights must not be negative (the package's lengths are positive): the
+ * relaxation trusts that a settled vertex never improves.
  * Build with -O2 and without -ffast-math: the sums must round as numpy's.
  */
 #include <math.h>
@@ -15,50 +17,55 @@ typedef struct {
     int32_t v;
 } entry;
 
-/* pos[v]: 0 unseen, k + 1 at heap slot k, -1 settled */
-static void sift_up(entry *heap, int32_t *pos, int32_t k, entry e)
+/* A 4-ary heap: shallower than a binary one, and the 4 children of slot k
+ * (4k + 1 .. 4k + 4) share one or two cache lines.
+ * pos[v]: 0 unseen, k + 1 at heap slot k, -1 settled */
+static inline void sift_up(entry *heap, int32_t *pos, int32_t k, entry e)
 {
-    while (k > 0 && heap[(k - 1) / 2].key > e.key) {
-        heap[k] = heap[(k - 1) / 2];
+    while (k > 0 && heap[(k - 1) / 4].key > e.key) {
+        heap[k] = heap[(k - 1) / 4];
         pos[heap[k].v] = k + 1;
-        k = (k - 1) / 2;
+        k = (k - 1) / 4;
     }
     heap[k] = e;
     pos[e.v] = k + 1;
 }
 
-/* Refill the hole left at the root from below, the smaller child each
- * time, then sift e up from the leaf reached: e, the old last entry, seldom
- * climbs far, and the child compares carry no hard-to-predict branch. */
-static void sift_down(entry *heap, int32_t *pos, int32_t size, entry e)
+/* Move e down from the root's slot while the least of the up to 4 children
+ * (its key kept in a register) is less than e. */
+static inline void sift_down(entry *heap, int32_t *pos, int32_t size, entry e)
 {
     int32_t k = 0, c;
-    while ((c = 2 * k + 1) + 1 < size) {
-        c += heap[c + 1].key < heap[c].key;
-        heap[k] = heap[c];
+    while ((c = 4 * k + 1) < size) {
+        int32_t best = c, end = c + 4 < size ? c + 4 : size;
+        double least = heap[c].key;
+        for (int32_t j = c + 1; j < end; j++)
+            if (heap[j].key < least)
+                least = heap[j].key, best = j;
+        if (!(least < e.key))
+            break;
+        heap[k] = heap[best];
         pos[heap[k].v] = k + 1;
-        k = c;
+        k = best;
     }
-    if (c < size) {
-        heap[k] = heap[c];
-        pos[heap[k].v] = k + 1;
-        k = c;
-    }
-    sift_up(heap, pos, k, e);
+    heap[k] = e;
+    pos[e.v] = k + 1;
 }
 
-/* Distances from root into dist (all inf on entry).  An edge relaxes only
- * when dist[u] + w <= limit.  The run stops once the heap minimum exceeds
+/* Distances from the nearest of the n_root roots into dist (all inf on
+ * entry); every root starts at 0.  An edge relaxes only when
+ * dist[u] + w <= limit.  The run stops once the heap minimum exceeds
  * c = min(dist[v] + offset) over the stop members settled so far; every
  * vertex it did not settle then reads inf, so dist is that of limit = c.
  * Returns 0, or -1 when out of memory. */
 int cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
-                const double *data, int32_t root, double limit, int32_t n_stop,
-                const int32_t *stop, const double *offset, double *dist)
+                const double *data, int32_t n_root, const int32_t *roots,
+                double limit, int32_t n_stop, const int32_t *stop,
+                const double *offset, double *dist)
 {
     int32_t *pos = calloc(n, sizeof *pos), *slot = calloc(n, sizeof *slot);
     entry *heap = malloc(n * sizeof *heap);
-    int32_t size = 1;
+    int32_t size = 0;
     double c = INFINITY;
     if (!pos || !slot || !heap) {
         free(pos), free(slot), free(heap);
@@ -67,23 +74,34 @@ int cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     for (int32_t k = 0; k < n_stop; k++)  /* slot[v]: 1 + its least offset */
         if (!slot[stop[k]] || offset[k] < offset[slot[stop[k]] - 1])
             slot[stop[k]] = k + 1;
-    dist[root] = 0.0;
-    heap[0] = (entry){0.0, root};
-    pos[root] = 1;
+    for (int32_t k = 0; k < n_root; k++)
+        if (!pos[roots[k]]) {  /* equal keys: each push stays where it lands */
+            dist[roots[k]] = 0.0;
+            sift_up(heap, pos, size++, (entry){0.0, roots[k]});
+        }
     while (size > 0 && !(heap[0].key > c)) {
         entry top = heap[0];
         pos[top.v] = -1;
         if (--size > 0)
             sift_down(heap, pos, size, heap[size]);
+        /* the next pops are the root and its children: fetch their rows */
+        for (int32_t k = 0; k < size && k < 5; k++) {
+            int32_t j = indptr[heap[k].v];
+            __builtin_prefetch(indices + j);
+            __builtin_prefetch(data + j);
+            __builtin_prefetch(data + j + 8);
+        }
         if (slot[top.v] && top.key + offset[slot[top.v] - 1] < c)
             c = top.key + offset[slot[top.v] - 1];
         for (int32_t j = indptr[top.v]; j < indptr[top.v + 1]; j++) {
             int32_t u = indices[j];
             double d = top.key + data[j];
-            if (pos[u] < 0 || !(d <= limit) || !(d < dist[u]))
+            /* a settled u has dist[u] <= top.key <= d, so no pos test;
+             * the > 0 keeps the heap in bounds even for a negative w */
+            if (!(d < dist[u]) || !(d <= limit))
                 continue;
             dist[u] = d;
-            sift_up(heap, pos, pos[u] ? pos[u] - 1 : size++, (entry){d, u});
+            sift_up(heap, pos, pos[u] > 0 ? pos[u] - 1 : size++, (entry){d, u});
         }
     }
     for (int32_t k = 0; k < size; k++)  /* tentative values of a stopped run */

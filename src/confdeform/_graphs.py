@@ -45,7 +45,7 @@ def _load_kernel():
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
     i4, f8, i8 = (np.ctypeslib.ndpointer(t, flags="C")
                   for t in (np.int32, np.float64, np.int64))
-    kernel.cd_dijkstra.argtypes = [i32, i4, i4, f8, i32, f64, i32, i4, f8, f8]
+    kernel.cd_dijkstra.argtypes = [i32, i4, i4, f8, i32, i4, f64, i32, i4, f8, f8]
     kernel.cd_walk.argtypes = [i32, i4, i4, f8, f8, i32, i32, i8]
     kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, i8, i8, f8, i8, f8, i8, i8]
     kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
@@ -85,16 +85,7 @@ def distances_from(adj, source, limit=np.inf, stop=None):
     (members, offsets), ends the run once the heap minimum exceeds
     ``c = min(dist[members] + offsets)``: the array is then that of
     ``limit=c``.  scipy, run where the kernel cannot, ignores ``stop``."""
-    members, offsets = (np.empty(0), 0.0) if stop is None else stop
-    csr = _csr(adj, source, members)
-    if csr is None:
-        return dijkstra(adj, directed=True, indices=int(source), limit=limit)
-    members = np.ascontiguousarray(members, dtype=np.int32)
-    offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape), float)
-    dist = np.full(csr[0], np.inf)
-    if _kernel.cd_dijkstra(*csr, source, limit, len(members), members, offsets, dist):
-        raise MemoryError("no memory for a Dijkstra run")
-    return dist
+    return _distances(adj, np.array([source]), limit, stop)
 
 
 def min_distance_field(adj, sources):
@@ -105,7 +96,25 @@ def min_distance_field(adj, sources):
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("min_distance_field needs at least one source vertex")
-    return dijkstra(adj, directed=True, indices=sources, min_only=True)
+    return _distances(adj, sources)
+
+
+def _distances(adj, roots, limit=np.inf, stop=None):
+    """Distances from the nearest of ``roots``, each starting at 0, through
+    the kernel, or scipy where it cannot run (see :func:`distances_from`)."""
+    members, offsets = (np.empty(0), 0.0) if stop is None else stop
+    csr = _csr(adj, roots, members)
+    if csr is None:
+        return dijkstra(adj, directed=True, indices=roots, limit=limit,
+                        min_only=True)
+    roots = np.ascontiguousarray(roots, dtype=np.int32)
+    members = np.ascontiguousarray(members, dtype=np.int32)
+    offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape), float)
+    dist = np.full(csr[0], np.inf)
+    if _kernel.cd_dijkstra(*csr, len(roots), roots, limit, len(members),
+                           members, offsets, dist):
+        raise MemoryError("no memory for a Dijkstra run")
+    return dist
 
 
 def extract_path(adj, dist, source, target):

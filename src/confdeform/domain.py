@@ -24,6 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -275,6 +276,20 @@ def _integers(values, what):
         raise DomainError(f"{what} does not fit in 64 bits") from None
 
 
+def _reals(values, what):
+    """float64 array of JSON numbers; anything else, a bool too, is named in
+    the error (numpy would read ``"0.5"`` as 0.5, ``true`` as 1.0 and
+    ``null`` as nan)."""
+    values = list(values)
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise DomainError(f"{what} must be a number, got {bad!r}")
+    try:
+        return np.fromiter(values, dtype=np.float64, count=len(values))
+    except OverflowError:
+        raise DomainError(f"{what} does not fit in a double") from None
+
+
 def _id_lookup(ids):
     """Map int64 id arrays to indices: one sort, then a binary search per id
     (repeated ids fail validation).  The first unknown id is named."""
@@ -307,18 +322,13 @@ def from_dict(data):
         raw_xy = [v["xy"] for v in raw_vertices if "xy" in v]
     except (KeyError, TypeError):
         raise DomainError('every vertex must be an object with an "id"') from None
-    try:
-        coords = np.array(raw_xy, np.float64)
-    except (TypeError, ValueError):
-        raise DomainError("vertex coordinates must be pairs of numbers") from None
+    if not set(map(type, raw_xy)) <= {list} or not set(map(len, raw_xy)) <= {2}:
+        raise DomainError("vertex coordinates must be pairs of numbers")
+    coords = _reals(chain.from_iterable(raw_xy), "a vertex coordinate").reshape(-1, 2)
     if not set(map(type, raw_edges)) <= {list} or not set(map(len, raw_edges)) <= {3}:
         bad = next(e for e in raw_edges if type(e) is not list or len(e) != 3)
         raise DomainError(f"edge {bad!r} is not a list [u, v, length]")
-    try:
-        edge_len = np.fromiter(map(itemgetter(2), raw_edges), np.float64,
-                               count=len(raw_edges))
-    except (TypeError, ValueError):
-        raise DomainError("edge lengths must be numbers") from None
+    edge_len = _reals(map(itemgetter(2), raw_edges), "an edge length")
     return _from_columns(
         ids, coords,
         _integers(map(itemgetter(0), raw_edges), "an edge endpoint"),

@@ -167,6 +167,20 @@ def test_check_clean_run_is_deterministic(tmp_path):
     assert open(path).read() == out1
 
 
+def test_check_runs_every_dijkstra_in_the_kernel(monkeypatch):
+    # estimated constants, all 7 checkers: single runs and sweeps alike
+    argv = ["check", *COMMON, "--no-timestamp"]
+
+    def scipy_dijkstra(*args, **kwargs):
+        raise AssertionError("scipy dijkstra called with the kernel loaded")
+    with monkeypatch.context() as m:
+        m.setattr(_graphs, "dijkstra", scipy_dijkstra)
+        ran = run(argv)
+    assert ran[0] == 0
+    monkeypatch.setattr(_graphs, "_kernel", None)  # scipy, the oracle
+    assert run(argv) == ran
+
+
 def test_check_default_includes_timestamp():
     code, out, _ = run(["check", *COMMON, "--cu", "2", "--cq", "1"])
     assert code == 0

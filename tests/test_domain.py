@@ -1,6 +1,7 @@
 """Domain construction, shells, constants estimation, generators, I/O."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -384,6 +385,27 @@ def test_from_dict_rejects_a_non_integral_edge_endpoint(end, tmp_path, monkeypat
     record = _strip_record()
     record["edges"][0][end] = 1.7
     _rejected(record, "endpoint must be an integer, got 1.7", tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("where, value, error", [
+    ("length", "0.5", "must be a number, got '0.5'"),
+    ("length", True, "must be a number, got True"),
+    ("length", None, "must be a number, got None"),
+    ("length", 10 ** 400, "does not fit in a double"),
+    ("xy", None, "must be a number, got None"),
+    ("xy", "0.25", "must be a number, got '0.25'"),
+    ("xy", False, "must be a number, got False")])
+def test_from_dict_rejects_a_value_that_is_not_a_number(where, value, error,
+                                                         tmp_path, monkeypatch):
+    # numpy would read "0.5" as 0.5, true as 1.0 and null as nan
+    record = _strip_record()
+    if where == "length":
+        record["edges"][2][2] = value
+        what = "an edge length"
+    else:
+        record["vertices"][3]["xy"][0] = value
+        what = "a vertex coordinate"
+    _rejected(record, re.escape(f"{what} {error}"), tmp_path, monkeypatch)
 
 
 def test_from_dict_names_the_first_unknown_id(tmp_path, monkeypatch):

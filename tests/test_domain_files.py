@@ -123,8 +123,9 @@ CORPUS = [
     ("token_70_bytes", _edit("1.0000000000000002", "1." + "0" * 68), False, None),
     ("nan", _edit("25E-1", "NaN"), False, "positive and finite"),
     ("infinity", _edit("25E-1", "Infinity"), False, "positive and finite"),
-    ("true", _edit("25E-1", "true"), False, None),
-    ("null", _edit("[2, 3, 3]", "[2, 3, null]"), False, "positive and finite"),
+    ("true", _edit("25E-1", "true"), False, "edge length must be a number, got True"),
+    ("null", _edit("[2, 3, 3]", "[2, 3, null]"), False,
+     "edge length must be a number, got None"),
     ("float_id", _edit('"id": 1,', '"id": 1.0,'), False, "must be an integer, got 1.0"),
     ("leading_zero", _edit("25E-1", "025"), False, "not valid JSON"),
     ("duplicate_key", _edit('"boundary": [0]', '"boundary": [1], "boundary": [0]'),

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from confdeform import _graphs
+from confdeform.domain import generate_domain
 
 
 def _diamond():
@@ -190,3 +192,50 @@ def test_drop_incident_edges_is_source_directed():
     without = _graphs.build_adjacency(4, eu[keep], ev[keep], ew[keep])
     for v in (0, 2, 3):
         assert (cut[[v]] != without[[v]]).nnz == 0
+
+
+def _deep_graphs():
+    """(name, matrix, domain) on grids of about 40k vertices, where the heap
+    holds hundreds of entries: a half plane's full and interior matrices,
+    and a slit plane's under random edge lengths."""
+    hp = generate_domain("half_plane:width=20,depth=20,h=0.1,conn=8")
+    sp = generate_domain("slit_plane:depth=5,h=0.1,conn=8")
+    lengths = sp.edge_len * np.random.default_rng(3).uniform(0.5, 2.0, sp.n_edges)
+    out = []
+    for name, d, w in (("half_plane", hp, hp.edge_len), ("slit_random", sp, lengths)):
+        edges = (d.n_vertices, d.edge_u, d.edge_v, w)
+        out.append((f"{name}_full", _graphs.build_adjacency(*edges), d))
+        out.append((f"{name}_interior",
+                    _graphs.drop_incident_edges(*edges, d.boundary_idx), d))
+    return out
+
+
+def test_kernel_equals_scipy_on_deep_heaps():
+    rng = np.random.default_rng(11)
+    for name, adj, d in _deep_graphs():
+        assert adj.shape[0] > 40_000
+        for sources in (d.boundary_idx, d.frontier_idx):
+            want = dijkstra(adj, directed=True, indices=sources, min_only=True)
+            assert np.array_equal(_graphs.min_distance_field(adj, sources), want), name
+        for root in rng.choice(adj.shape[0], 8, replace=False):
+            full = dijkstra(adj, directed=True, indices=root)
+            assert np.array_equal(_graphs.distances_from(adj, root), full), name
+            reach = np.sort(full[np.isfinite(full)])
+            limit = reach[len(reach) // 3]
+            assert np.array_equal(_graphs.distances_from(adj, root, limit),
+                                  dijkstra(adj, directed=True, indices=root,
+                                           limit=limit)), name
+            # stopped at the least dist[m] + offset over random members
+            members = rng.choice(adj.shape[0], 6, replace=False)
+            offsets = rng.uniform(0.0, 1.0, members.size)
+            c = np.min(full[members] + offsets)
+            stopped = _graphs.distances_from(adj, root, stop=(members, offsets))
+            assert np.array_equal(stopped, dijkstra(adj, directed=True,
+                                                    indices=root, limit=c)), name
+
+
+def test_min_distance_field_falls_back_to_scipy(monkeypatch):
+    _, adj, d = _deep_graphs()[3]  # the slit plane's interior, random lengths
+    field = _graphs.min_distance_field(adj, d.frontier_idx)
+    monkeypatch.setattr(_graphs, "_kernel", None)
+    assert np.array_equal(_graphs.min_distance_field(adj, d.frontier_idx), field)
