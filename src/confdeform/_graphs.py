@@ -45,7 +45,8 @@ def _load_kernel():
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
     i4, f8, i8 = (np.ctypeslib.ndpointer(t, flags="C")
                   for t in (np.int32, np.float64, np.int64))
-    kernel.cd_dijkstra.argtypes = [i32, i4, i4, f8, i32, i4, f64, i32, i4, f8, f8]
+    kernel.cd_dijkstra.argtypes = [i32, i4, i4, f8, i32, i4, f64, i32, i4, f8, f8,
+                                   i32, i4]
     kernel.cd_walk.argtypes = [i32, i4, i4, f8, f8, i32, i32, i8]
     kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, i8, i8, f8, i8, f8, i8, i8]
     kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
@@ -80,12 +81,14 @@ def build_adjacency(n_vertices, edge_u, edge_v, edge_len):
     return csr_matrix((vals, (rows, cols)), shape=(n_vertices, n_vertices))
 
 
-def distances_from(adj, source, limit=np.inf, stop=None):
+def distances_from(adj, source, limit=np.inf, stop=None, into=None):
     """Single-source distances; unreached vertices get ``inf``.  ``stop``,
     (members, offsets), ends the run once the heap minimum exceeds
     ``c = min(dist[members] + offsets)``: the array is then that of
-    ``limit=c``.  scipy, run where the kernel cannot, ignores ``stop``."""
-    return _distances(adj, np.array([source]), limit, stop)
+    ``limit=c``.  ``into``, a :class:`RunBuffer`, takes the distances in
+    place of a new array.  scipy, run where the kernel cannot, ignores
+    ``stop`` and ``into``."""
+    return _distances(adj, np.array([source]), limit, stop, into)
 
 
 def min_distance_field(adj, sources):
@@ -99,7 +102,34 @@ def min_distance_field(adj, sources):
     return _distances(adj, sources)
 
 
-def _distances(adj, roots, limit=np.inf, stop=None):
+class RunBuffer:
+    """An all-``inf`` distance array that kernel runs fill in place of a new
+    one, with the first ``order.size`` vertices the latest run settled and
+    how many it settled, so the next run can undo just those.
+
+    ``dist`` and ``order`` share one allocation.  A small ``order`` of its
+    own, made in the middle of a command and kept to its end, can pin the
+    top of malloc's heap, so that the command's freed matrices stay
+    resident: the peak RSS of repeated ``confdeform check`` runs then rose
+    by 30 MB in about one run in four."""
+
+    def __init__(self, n_vertices, capacity):
+        self.shape = (n_vertices, capacity)
+        self.renew()
+
+    def renew(self):
+        """Start on a clean array; the old one stays with whoever holds it."""
+        n, capacity = self.shape
+        block = np.full(n + (capacity + 1) // 2, np.inf)
+        self.dist = block[:n]
+        self.order = block[n:].view(np.int32)[:capacity]
+        self.settled = 0
+
+
+_NO_ORDER = np.empty(0, dtype=np.int32)
+
+
+def _distances(adj, roots, limit=np.inf, stop=None, into=None):
     """Distances from the nearest of ``roots``, each starting at 0, through
     the kernel, or scipy where it cannot run (see :func:`distances_from`)."""
     members, offsets = (np.empty(0), 0.0) if stop is None else stop
@@ -110,10 +140,14 @@ def _distances(adj, roots, limit=np.inf, stop=None):
     roots = np.ascontiguousarray(roots, dtype=np.int32)
     members = np.ascontiguousarray(members, dtype=np.int32)
     offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape), float)
-    dist = np.full(csr[0], np.inf)
-    if _kernel.cd_dijkstra(*csr, len(roots), roots, limit, len(members),
-                           members, offsets, dist):
+    dist, order = ((np.full(csr[0], np.inf), _NO_ORDER) if into is None
+                   else (into.dist, into.order))
+    settled = _kernel.cd_dijkstra(*csr, len(roots), roots, limit, len(members),
+                                  members, offsets, dist, len(order), order)
+    if settled < 0:
         raise MemoryError("no memory for a Dijkstra run")
+    if into is not None:
+        into.settled = settled
     return dist
 
 
@@ -234,6 +268,13 @@ class MetricView:
     boundary vertices hold ``inf``), for interior and boundary targets
     alike; paths are extracted there too.  Pair answers and the latest run
     are kept, no array per root (5 MB each at 641k vertices).
+
+    Stopped runs fill one :class:`RunBuffer` of the view, so a run that
+    settles a few vertices costs that few, not ``n``: before the next run
+    the view resets the entries the latest one settled.  A run that
+    settled more than ``n / 16`` (cheaper to replace than to undo entry by
+    entry) keeps its array as the latest run, and a clean one takes its
+    place in the same call.
     """
 
     MEMO_SIZE = 256
@@ -254,8 +295,13 @@ class MetricView:
     def interior(self):
         return drop_incident_edges(*self._edges, np.flatnonzero(self.boundary_mask))
 
+    @cached_property
+    def _buffer(self):
+        return RunBuffer(self._edges[0], self._edges[0] // 16)
+
     def run(self, root, limit=np.inf):
-        """Distances from ``root`` on the interior matrix, up to ``limit``."""
+        """Distances from ``root`` on the interior matrix, up to ``limit``,
+        in a new array the caller owns."""
         self._last = (int(root), limit, distances_from(self.interior, root, limit))
         return self._last[2]
 
@@ -263,15 +309,22 @@ class MetricView:
         """(dist, c) of a run from ``root`` stopped at the least
         ``c = dist[m] + offset`` over the members; ``dist`` is exact up to
         ``c`` (``inf`` when no member is reached).  The latest run answers
-        when it is exact that far."""
+        when it is exact that far.  ``dist`` may be the view's buffer: it
+        is valid until the view's next run, and is not to be written."""
         root, last = int(root), self._last
         if last is not None and last[0] == root:
             c = float(np.min(last[2][members] + offsets, initial=np.inf))
             if c <= last[1]:
                 return last[2], c
-        dist = distances_from(self.interior, root, stop=(members, offsets))
+        buf = self._buffer
+        buf.dist[buf.order[:buf.settled]] = np.inf
+        buf.settled = 0
+        dist = distances_from(self.interior, root, stop=(members, offsets),
+                              into=buf)
         c = float(np.min(dist[members] + offsets, initial=np.inf))
         self._last = (root, c, dist)
+        if buf.settled > buf.order.size:
+            buf.renew()
         return dist, c
 
     def distance(self, ia, ib):
@@ -287,10 +340,15 @@ class MetricView:
         root, other, dist, value = self._reach(ia, ib)
         if not np.isfinite(value):
             return value, None
+        saved = dist[other]
         if self.boundary_mask[other]:
-            dist = dist.copy()
+            # the run never enters a boundary target: the walk starts at
+            # its value, put in for the walk only
             dist[other] = value
-        path = extract_path(self.full, dist, root, other)
+        try:
+            path = extract_path(self.full, dist, root, other)
+        finally:
+            dist[other] = saved
         return value, (path if path[0] == ia else path[::-1].copy())
 
     def _reach(self, ia, ib):

@@ -267,12 +267,18 @@ def _oracle_bytes(domain_):
 
 
 _finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def _meta_containers(inner):
+    return (st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(alphabet=",:ab ", max_size=3), inner,
+                              max_size=3))
+
+
 _meta_value = st.recursive(
     st.none() | st.booleans() | st.integers() | _finite
     | st.text(alphabet=",[]{}:\" \\\nab\u00e9", max_size=6),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(alphabet=",:ab ", max_size=3), inner, max_size=3),
-    max_leaves=8)
+    _meta_containers, max_leaves=8)
 
 
 @settings(max_examples=60, deadline=None)

@@ -159,6 +159,97 @@ def test_kernel_runs_and_walks_match_scipy(spec, metric, seed):
             assert path.tolist() == _py_walk(view.full, full, root, int(target))
 
 
+# -- one view's runs leave nothing behind -------------------------------------
+
+
+def _exact_to(dist, full, c):
+    """Whether ``dist`` is the array of a run exact up to a radius of at
+    least ``c``: ``full`` up to that radius, ``inf`` beyond it."""
+    r = max(c, np.max(dist, initial=-np.inf, where=np.isfinite(dist)))
+    return _same(dist, np.where(full <= r, full, np.inf))
+
+
+@pytest.mark.parametrize("metric", ["base", "phi", "random"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_view_keeps_no_state_between_runs(metric, seed):
+    # on one view, in a seeded order: pair runs that settle a few vertices
+    # (undone entry by entry) and pair runs across the grid (more than
+    # n / 16, so the array is handed off), boundary targets, frontier runs,
+    # bounded runs, and kernel runs with and without a stop set; each
+    # answer is checked against a fresh scipy run
+    spec = "half_plane:width=4,depth=8,h=0.25,conn=8"
+    edges = _edges(spec, metric, seed)
+    n, boundary = edges[0], edges[4]
+    view = _graphs.MetricView(*edges)
+    dom = generate_domain(spec)
+    frontier, y = dom.frontier_idx, dom.coords[:, 1]
+    interior = np.flatnonzero(~view.boundary_mask)
+    low, high = interior[y[interior] < 1.0], interior[y[interior] > 6.0]
+    rng = np.random.default_rng(seed)
+
+    def full_from(root, **kwargs):
+        return dijkstra(view.interior, directed=True, indices=root, **kwargs)
+
+    def row(v):
+        lo, hi = view.full.indptr[v], view.full.indptr[v + 1]
+        return view.full.indices[lo:hi], view.full.data[lo:hi]
+
+    def pair():
+        kind = rng.integers(4)
+        if kind == 0:  # a neighbour, boundary ones included
+            a = int(rng.choice(interior))
+            return a, int(rng.choice(row(a)[0]))
+        if kind == 1:
+            return int(rng.choice(low)), int(rng.choice(high))
+        if kind == 2:  # a boundary root
+            return int(rng.choice(boundary)), int(rng.choice(interior))
+        a, b = rng.choice(boundary, size=2, replace=False)  # a boundary target
+        return int(a), int(b)
+
+    handed_off, buffer = 0, view._buffer.dist
+    for _ in range(80):
+        op = rng.integers(6)
+        if op < 2:
+            ia, ib = pair()
+            want, want_path = _rebuilt(*edges, ia, ib)
+            if op == 0:
+                assert view.distance(ia, ib) == want
+            else:
+                val, path = view.geodesic(ia, ib)
+                assert val == want and path.tolist() == want_path.tolist()
+            handed_off += view._buffer.dist is not buffer
+            buffer = view._buffer.dist
+        elif op == 2:
+            root = int(rng.choice(interior))
+            dist, c = view.nearest(root, frontier)
+            full = full_from(root)
+            assert c == np.min(full[frontier])
+            assert _exact_to(dist, full, c)
+        elif op == 3:
+            root = int(rng.choice(n))
+            full = full_from(root)
+            limit = float(rng.uniform(0.0, np.max(full[np.isfinite(full)])))
+            assert _same(view.run(root, limit), full_from(root, limit=limit))
+        else:
+            # a stopped kernel run, then straight away a run without a stop
+            # set or a multi-source sweep
+            root, target = int(rng.choice(n)), int(rng.choice(n))
+            full = full_from(root)
+            members, offsets = row(target)
+            c = np.min(full[members] + offsets)
+            got = _graphs.distances_from(view.interior, root, stop=(members, offsets))
+            assert _same(got, full_from(root, limit=c))
+            if op == 4:
+                root = int(rng.choice(n))
+                assert _same(_graphs.distances_from(view.interior, root), full_from(root))
+            else:
+                roots = rng.choice(n, size=3, replace=False)
+                assert _same(_graphs.min_distance_field(view.interior, roots),
+                             full_from(roots, min_only=True))
+    # scipy, where the kernel cannot run, fills no buffer
+    assert handed_off or _graphs._kernel is None
+
+
 # -- a warm domain builds no matrix and repeats no run --------------------------
 
 
@@ -305,6 +396,26 @@ def test_curve_steps_are_looked_up_once(warm, monkeypatch):
     for adj, incr in ((dom.adjacency, curve.incr_d), (dd.adjacency_phi, curve.incr_phi)):
         for (u, v), w in zip(zip(curve.vertices[:-1], curve.vertices[1:]), incr):
             assert adj[u, v] == w
+
+
+def test_returned_arrays_outlive_later_queries(warm):
+    dom, dd = warm
+    view = dd.view
+    b1, b2, b3 = (int(v) for v in dom.boundary_idx[[2, 7, 12]])
+    inner = dom.index(dom.nearest_vertex(0.5, 2.0))
+    kept = [view.run(b1), view.run(inner, 1.0),
+            _graphs.distances_from(view.interior, b3)]
+    # the last run above is the latest run: the boundary-target geodesic
+    # from b1 reads it, and puts its target's value in for the walk only
+    kept.append(view.run(b1))
+    copies = [a.copy() for a in kept]
+    assert view.geodesic(b1, b2)[1] is not None
+    for x, y in ((b1, inner), (inner, b3), (b2, b3), (b1, b2)):
+        view.distance(x, y)
+        view.geodesic(y, x)
+    view.nearest(inner, dom.frontier_idx)
+    view.run(b2, 2.0)
+    assert all(_same(a, b) for a, b in zip(kept, copies))
 
 
 def _subcurve_oracle(curve, metric):
