@@ -24,7 +24,7 @@ from .weight import WeightFunction, derive_constants
 def _load_domain(spec):
     if os.path.exists(spec):
         return domain_mod.load_domain(spec)
-    if ":" in spec or spec in ("half_plane", "strip", "slit_plane"):
+    if ":" in spec or spec in domain_mod._GENERATORS:
         return domain_mod.generate_domain(spec)
     raise DomainError(f"{spec!r} is neither a domain file nor a generator spec")
 

@@ -142,11 +142,13 @@ def _metric(curve, metric):
     return (*out, dd.boundary_field_phi if metric == "phi" else dd.field.values)
 
 
-def _arm_lengths(incr):
-    """min(left arm, right arm) at interior vertices, reversal-symmetric."""
+def clearance_ratio(incr, clearance):
+    """Worst shorter arm over clearance at the interior vertices of a walk
+    with steps ``incr``.  The arms are left folds from each end, so the
+    value is reversal-symmetric."""
     left = np.cumsum(incr)[:-1]
     right = np.cumsum(incr[::-1])[:-1][::-1]
-    return np.minimum(left, right)
+    return float((np.minimum(left, right) / clearance).max())
 
 
 def uniformity_constant(curve, metric="phi", endpoint_distance=None):
@@ -176,7 +178,7 @@ def uniformity_constant(curve, metric="phi", endpoint_distance=None):
     clearance = bvals[curve.vertices[1:-1]]
     if (clearance <= 0).any():
         raise CurveError("curve passes through a boundary vertex")
-    return max(constant, float((_arm_lengths(incr) / clearance).max()))
+    return max(constant, clearance_ratio(incr, clearance))
 
 
 def subcurve_excess_ratio(curve, metric="phi"):

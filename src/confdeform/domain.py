@@ -19,6 +19,7 @@ package.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
@@ -31,8 +32,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from . import _graphs
-
-_GENERATORS = {}
+from .curves import clearance_ratio
 
 
 class DomainError(ValueError):
@@ -126,6 +126,8 @@ class MetricDomain:
         """Id of the vertex whose coordinates are closest to (x, y)."""
         if self.coords is None:
             raise DomainError("domain has no vertex coordinates")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"vertex coordinates must be finite, got {x},{y}")
         d2 = (self.coords[:, 0] - x) ** 2 + (self.coords[:, 1] - y) ** 2
         ties = np.nonzero(d2 == d2.min())[0]
         return int(self.ids[ties].min())
@@ -498,16 +500,12 @@ def estimate_metric_constants(domain, bdry_field=None, n_pairs=400, seed=0):
             # rounded differences, not the edge lengths: dist[v] is the float
             # sum dist[u] + w(u, v), and dist[v] - dist[u] need not give w back
             steps = np.diff(dist[path])
-            total = dist[t]
             if domain.coords is not None:
                 chord = math.hypot(*(domain.coords[t] - domain.coords[s]))
                 if chord > 0:
-                    cq = max(cq, total / chord)
+                    cq = max(cq, dist[t] / chord)
             if len(path) > 2:
-                left = np.cumsum(steps)[:-1]
-                arms = np.minimum(left, total - left)
-                clearance = bdry_field.values[path[1:-1]]
-                cu = max(cu, float((arms / clearance).max()))
+                cu = max(cu, clearance_ratio(steps, bdry_field.values[path[1:-1]]))
             used += 1
     if used == 0:
         raise DomainError("no usable interior pairs found")
@@ -615,13 +613,7 @@ def slit_plane(depth=10.0, h=0.1, conn=8):
     )
 
 
-_GENERATORS.update(half_plane=half_plane, strip=strip, slit_plane=slit_plane)
-
-_GENERATOR_PARAMS = {
-    "half_plane": {"width": float, "depth": float, "h": float, "conn": int},
-    "strip": {"width": float, "h": float, "conn": int},
-    "slit_plane": {"depth": float, "h": float, "conn": int},
-}
+_GENERATORS = {gen.__name__: gen for gen in (half_plane, strip, slit_plane)}
 
 
 def generate_domain(spec):
@@ -632,7 +624,9 @@ def generate_domain(spec):
         known = ", ".join(sorted(_GENERATORS))
         raise DomainError(f"unknown generator {name!r} (choose from {known})")
     params = {}
-    schema = _GENERATOR_PARAMS[name]
+    # each parameter takes the type of its default
+    schema = {key: type(par.default) for key, par
+              in inspect.signature(_GENERATORS[name]).parameters.items()}
     if rest.strip():
         for item in rest.split(","):
             key, eq, val = item.partition("=")

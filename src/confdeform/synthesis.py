@@ -66,6 +66,11 @@ class SynthesisResult:
         }
 
 
+def default_tolerance(dd, tolerance=None):
+    """``tolerance`` if given, else ten mesh sizes (a factor 1 + 10h)."""
+    return 10.0 * dd.domain.mesh_size if tolerance is None else tolerance
+
+
 def uniform_curve_d(dd, x, y):
     """Base-metric geodesic between two ids, as a dual-length curve.
 
@@ -132,13 +137,19 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
     m, k = min(sx, sy), max(sx, sy)
     notes = {"shells": [sx, sy]}
 
+    def result(case, predicted, curve, dphi=None, splice_ids=()):
+        """Orient the curve from x, measure it and wrap it; ``dphi`` is the
+        endpoint distance when the caller already has it."""
+        if curve.start_id != int(x):
+            curve = curve.reverse()
+        measured = uniformity_constant(curve, "phi", endpoint_distance=dphi)
+        return SynthesisResult(curve=curve, case=case, predicted=predicted,
+                               measured=measured, x=int(x), y=int(y),
+                               splice_ids=list(splice_ids), notes=notes)
+
     if m >= bundle.m0:
         curve = dd.dphi_geodesic(x, y)
-        measured = uniformity_constant(curve, "phi",
-                                       endpoint_distance=curve.total_phi)
-        return SynthesisResult(curve=curve, case="large_k",
-                               predicted=1331.0 / 669.0, measured=measured,
-                               x=int(x), y=int(y), notes=notes)
+        return result("large_k", 1331.0 / 669.0, curve, curve.total_phi)
 
     # order endpoints shallow-first for the crossing constructions
     a, b = (x, y) if sx <= sy else (y, x)
@@ -153,16 +164,8 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
             dphi = dd.dphi_distance(x, y)
             threshold = bundle.t_small * 2.0 ** m * dd.weight.value(2.0 ** m)
             if dphi < threshold:
-                case = "small"
-                predicted = bundle.c1
-            else:
-                case = "medium_inside"
-                predicted = bundle.c2
-            curve = beta if beta.start_id == int(x) else beta.reverse()
-            measured = uniformity_constant(curve, "phi", endpoint_distance=dphi)
-            return SynthesisResult(curve=curve, case=case, predicted=predicted,
-                                   measured=measured, x=int(x), y=int(y),
-                                   notes=notes)
+                return result("small", bundle.c1, beta, dphi)
+            return result("medium_inside", bundle.c2, beta, dphi)
         first = int(np.argmax(outside))
         last = len(outside) - 1 - int(np.argmax(outside[::-1]))
         z1, z2 = beta.vertices[first], beta.vertices[last]
@@ -175,13 +178,7 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
             curve = beta_slice(beta, 0, first).concat(middle) if first > 0 else middle
             if last < len(beta) - 1:
                 curve = curve.concat(beta_slice(beta, last, len(beta) - 1))
-        if curve.start_id != int(x):
-            curve = curve.reverse()
-        measured = uniformity_constant(curve, "phi")
-        return SynthesisResult(curve=curve, case="medium_spliced",
-                               predicted=bundle.c2, measured=measured,
-                               x=int(x), y=int(y), splice_ids=splice_ids,
-                               notes=notes)
+        return result("medium_spliced", bundle.c2, curve, splice_ids=splice_ids)
 
     # m < m0 < k: shallow-to-deep
     dphi = dd.dphi_distance(x, y)
@@ -189,11 +186,7 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
         # below the crossing construction's own applicability threshold;
         # the base geodesic is the candidate, as in the all-shallow case
         notes["subthreshold"] = True
-        curve = beta if beta.start_id == int(x) else beta.reverse()
-        measured = uniformity_constant(curve, "phi", endpoint_distance=dphi)
-        return SynthesisResult(curve=curve, case="small", predicted=bundle.c1,
-                               measured=measured, x=int(x), y=int(y),
-                               notes=notes)
+        return result("small", bundle.c1, beta, dphi)
     level = 2.0 ** bundle.m0
     depths = dd.field.values[beta.vertices]
     crossing = depths >= level
@@ -201,20 +194,13 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
         raise SynthesisError("deep endpoint below its own shell level; "
                              "inconsistent boundary distances")
     first = int(np.argmax(crossing))
-    z1 = beta.vertices[first]
-    z1_id = domain.vertex_id(z1)
-    splice_ids = [z1_id]
+    z1_id = domain.vertex_id(beta.vertices[first])
     if first == 0:
         curve = dd.dphi_geodesic(a, b)
     else:
         tail = dd.dphi_geodesic(z1_id, b)
         curve = beta_slice(beta, 0, first).concat(tail)
-    if curve.start_id != int(x):
-        curve = curve.reverse()
-    measured = uniformity_constant(curve, "phi", endpoint_distance=dphi)
-    return SynthesisResult(curve=curve, case="cross_border", predicted=bundle.c3,
-                           measured=measured, x=int(x), y=int(y),
-                           splice_ids=splice_ids, notes=notes)
+    return result("cross_border", bundle.c3, curve, dphi, [z1_id])
 
 
 def _synthesize_to_infinity(dd, bundle, x):
@@ -336,10 +322,11 @@ def predicted_vs_measured(dd, bundle, n_pairs=200, n_to_infinity=0, seed=0,
     measured constant exceeds the predicted one beyond tolerance, and how
     often the shallow-to-deep construction fell below its threshold.
     """
+    if n_pairs < 0 or n_to_infinity < 0:
+        raise SynthesisError("sample counts must be nonnegative")
     if n_pairs < 1 and n_to_infinity < 1:
         raise SynthesisError("sample budget must be at least 1")
-    if tolerance is None:
-        tolerance = 10.0 * dd.domain.mesh_size
+    tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
     domain = dd.domain
     rows = []

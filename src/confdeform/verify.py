@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _graphs
 from .curves import subcurve_excess_ratio
-from .synthesis import shell_groups, stratified_pick, uniform_curve_d
+from .synthesis import (default_tolerance, shell_groups, stratified_pick,
+                        uniform_curve_d)
 
 
 @dataclass
@@ -59,9 +60,15 @@ CHECK_NAMES = (
 _MAX_WITNESSES = 10
 
 
-def default_tolerance(dd, tolerance=None):
-    """``tolerance`` if given, else ten mesh sizes (a factor 1 + 10h)."""
-    return 10.0 * dd.domain.mesh_size if tolerance is None else tolerance
+def _rooted_pairs(adj, groups, rng, n_sources, per_source):
+    """(source, target, distances from source) over stratified sources.
+    Each source's targets are drawn after its full run; a target equal to
+    its source or unreachable from it is skipped."""
+    for s in stratified_pick(groups, rng, n_sources):
+        dist = _graphs.distances_from(adj, s)
+        for t in stratified_pick(groups, rng, per_source):
+            if t != s and np.isfinite(dist[t]):
+                yield s, t, dist
 
 
 # -- individual checkers -----------------------------------------------------
@@ -79,19 +86,11 @@ def check_crossing_levels(dd, n_samples=200, seed=0, tolerance=None):
     adj = dd.adjacency_phi_interior
     groups = shell_groups(dd)
     rep = CheckReport(name="crossing_levels", tolerance=tolerance, seed=seed)
-    curves = []
     n_geo = n_samples // 2
     n_sources = max(1, n_geo // 10)
-    sources = stratified_pick(groups, rng, n_sources)
-    per_src = max(1, n_geo // n_sources)
-    for s in sources:
-        dist = _graphs.distances_from(adj, s)
-        targets = stratified_pick(groups, rng, per_src)
-        for t in targets:
-            if t == s or not np.isfinite(dist[t]):
-                continue
-            path = _graphs.extract_path(adj, dist, s, t)
-            curves.append((path, float(dist[t])))
+    pairs = _rooted_pairs(adj, groups, rng, n_sources, max(1, n_geo // n_sources))
+    curves = [(_graphs.extract_path(adj, dist, s, t), float(dist[t]))
+              for s, t, dist in pairs]
     n_from_geodesics = len(curves)
     indptr, indices = adj.indptr, adj.indices
     data = adj.data
@@ -291,24 +290,18 @@ def check_large_bound(dd, bundle, n_samples=200, seed=0, tolerance=None):
         rep.notes = {"reason": "no shells at or below m0"}
         return rep
     n_sources = max(2, n_samples // 14)
-    sources = stratified_pick(groups, rng, n_sources)
     per_src = max(1, -(-n_samples // n_sources))
     deepest = int(max(s for s, _ in groups))
-    for src in sources:
-        dist = _graphs.distances_from(adj, src)
-        targets = stratified_pick(groups, rng, per_src)
-        for t in targets:
-            if t == src or not np.isfinite(dist[t]):
-                continue
-            m = int(min(shells[src], shells[t]))
-            bound = bundle.c_growth * 2.0 ** m * weight.value(2.0 ** m)
-            ratio = float(dist[t]) / bound
-            rep.samples += 1
-            rep.score(ratio, {
-                "x": dd.domain.vertex_id(src), "y": dd.domain.vertex_id(t),
-                "m": m, "d_phi": float(dist[t]), "bound": bound,
-                "ratio": ratio,
-            })
+    for src, t, dist in _rooted_pairs(adj, groups, rng, n_sources, per_src):
+        m = int(min(shells[src], shells[t]))
+        bound = bundle.c_growth * 2.0 ** m * weight.value(2.0 ** m)
+        ratio = float(dist[t]) / bound
+        rep.samples += 1
+        rep.score(ratio, {
+            "x": dd.domain.vertex_id(src), "y": dd.domain.vertex_id(t),
+            "m": m, "d_phi": float(dist[t]), "bound": bound,
+            "ratio": ratio,
+        })
     rep.notes = {"deepest_shell_sampled": deepest, "m0": bundle.m0}
     return rep
 

@@ -41,6 +41,9 @@ class WeightFunction:
         self.beta = beta
         self.kappa = kappa
         if kind in ("power", "power_log"):
+            for name, value in (("beta", beta), ("kappa", kappa)):
+                if value is not None and not math.isfinite(value):
+                    raise WeightError(f"{name} must be finite, got {value}")
             if beta is None or beta <= 1:
                 raise WeightError("beta must exceed 1, otherwise the dyadic "
                                   "sums diverge and no point at infinity exists")

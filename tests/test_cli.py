@@ -271,6 +271,16 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
      "tolerance factor"),
     (["check", *COMMON, "--tol", "nan", "--cu", "2", "--cq", "1"],
      "tolerance factor"),
+    (["distance", "--domain", DOM, "--weight", "power:beta=nan",
+      "--from", "0,1", "--to", "0,2"], "beta must be finite"),
+    (["distance", "--domain", DOM, "--weight", "powerlog:beta=2,kappa=inf",
+      "--from", "0,1", "--to", "0,2"], "kappa must be finite"),
+    (["distance", *COMMON, "--from", "inf,0.5", "--to", "0,2"],
+     "coordinates must be finite"),
+    (["distance", *COMMON, "--from", "nan,0.5", "--to", "0,2"],
+     "coordinates must be finite"),
+    (["report", *COMMON, "--cu", "2", "--cq", "1", "--inf-queries", "-3"],
+     "sample counts must be nonnegative"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)

@@ -117,7 +117,11 @@ def test_generate_domain_spec_strings():
     d = generate_domain("half_plane:width=2,depth=2,h=1,conn=4")
     assert d.n_vertices == 9
     assert d.meta["generator"] == "half_plane"
+    # each value takes the type of the generator's default
+    assert type(d.meta["h"]) is float and type(d.meta["conn"]) is int
     assert generate_domain("strip:width=2,h=0.5").n_vertices == 15
+    with pytest.raises(DomainError):
+        generate_domain("half_plane:conn=8.0")
     with pytest.raises(DomainError):
         generate_domain("doughnut:radius=2")
     with pytest.raises(DomainError):

@@ -313,3 +313,5 @@ def test_predicted_vs_measured_infinity_only(ray):
     assert all(r["y"] == "inf" for r in report["rows"])
     with pytest.raises(SynthesisError):
         predicted_vs_measured(dd, bundle, n_pairs=0, n_to_infinity=0)
+    with pytest.raises(SynthesisError, match="nonnegative"):
+        predicted_vs_measured(dd, bundle, n_pairs=-3, n_to_infinity=5)

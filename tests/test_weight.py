@@ -209,6 +209,13 @@ def test_invalid_families():
         WeightFunction.power(9000)
     with pytest.raises(WeightError):
         WeightFunction.power_log(2, -0.5)
+    # non-finite parameters are named, not passed on as NaN edge lengths
+    for beta, kappa, name in ((math.nan, 1.0, "beta"), (math.inf, 1.0, "beta"),
+                              (2.0, math.nan, "kappa"), (2.0, math.inf, "kappa")):
+        with pytest.raises(WeightError, match=f"{name} must be finite"):
+            WeightFunction.power_log(beta, kappa)
+    with pytest.raises(WeightError, match="beta must be finite"):
+        WeightFunction.power(math.nan)
     with pytest.raises(WeightError):
         WeightFunction("mystery")
 
