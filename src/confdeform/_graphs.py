@@ -42,13 +42,10 @@ def _load_kernel():
         logging.getLogger("confdeform").warning(
             "C kernel unavailable, using scipy and json.load: %s", exc)
         return None
-    i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
-    i4, f8, i8 = (np.ctypeslib.ndpointer(t, flags="C")
-                  for t in (np.int32, np.float64, np.int64))
-    kernel.cd_dijkstra.argtypes = [i32, i4, i4, f8, i32, i4, f64, i32, i4, f8, f8,
-                                   i32, i4]
-    kernel.cd_walk.argtypes = [i32, i4, i4, f8, f8, i32, i32, i8]
-    kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, i8, i8, f8, i8, f8, i8, i8]
+    i32, i64, f64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p]
+    kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, i32, p]
+    kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p, p, p]
     kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
     kernel.cd_scan.restype = ctypes.c_int
     return kernel
@@ -57,17 +54,25 @@ def _load_kernel():
 _kernel = _load_kernel()
 
 
+def _ptr(arr, dtype):
+    """The address of ``arr``, a C-contiguous array of ``dtype`` (or a
+    TypeError), for a call during which the caller holds ``arr``."""
+    if arr.dtype != dtype or not arr.flags.c_contiguous:
+        raise TypeError(f"the kernel takes C-contiguous {np.dtype(dtype)} arrays")
+    return arr.ctypes.data
+
+
 def _csr(adj, *vertices):
     """(n, indptr, indices, data) as the kernel takes them, once each of
     ``vertices`` (an index or an array of them) is checked in range; None
-    where scipy runs: no kernel, or not an int32-indexed CSR matrix."""
+    where scipy runs: no kernel, or not a float64 CSR matrix of int32 indices."""
     if (_kernel is None or getattr(adj, "format", None) != "csr"
-            or adj.indices.dtype != np.int32):
+            or adj.indices.dtype != np.int32 or adj.data.dtype != np.float64):
         return None
     n = adj.shape[0]
     if not all(((0 <= np.asarray(v)) & (np.asarray(v) < n)).all() for v in vertices):
         raise IndexError(f"vertex index out of range for {n} vertices")
-    return n, adj.indptr, adj.indices, np.ascontiguousarray(adj.data, float)
+    return n, _ptr(adj.indptr, "i4"), _ptr(adj.indices, "i4"), _ptr(adj.data, "f8")
 
 
 def build_adjacency(n_vertices, edge_u, edge_v, edge_len):
@@ -142,8 +147,9 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None):
     offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape), float)
     dist, order = ((np.full(csr[0], np.inf), _NO_ORDER) if into is None
                    else (into.dist, into.order))
-    settled = _kernel.cd_dijkstra(*csr, len(roots), roots, limit, len(members),
-                                  members, offsets, dist, len(order), order)
+    settled = _kernel.cd_dijkstra(
+        *csr, len(roots), _ptr(roots, "i4"), limit, len(members), _ptr(members, "i4"),
+        _ptr(offsets, "f8"), _ptr(dist, "f8"), len(order), _ptr(order, "i4"))
     if settled < 0:
         raise MemoryError("no memory for a Dijkstra run")
     if into is not None:
@@ -171,7 +177,7 @@ def extract_path(adj, dist, source, target):
         dist, path = np.ascontiguousarray(dist, float), np.empty(n, dtype=np.int64)
         if dist.shape != (n,):
             raise ValueError(f"distance array of shape {dist.shape} for {n} vertices")
-        k = _kernel.cd_walk(*csr, dist, source, target, path)
+        k = _kernel.cd_walk(*csr, _ptr(dist, "f8"), source, target, _ptr(path, "i8"))
         if k < 0:
             raise RuntimeError(errors[k])
         return path[k - 1::-1].copy()
@@ -240,29 +246,28 @@ def pairwise_distances(adj, vertices):
     raise RuntimeError("min-plus closure failed to stabilise")
 
 
-def drop_incident_edges(n_vertices, edge_u, edge_v, edge_len, blocked):
+def drop_incident_edges(adj, blocked):
     """Source-directed adjacency: every edge *into* a blocked vertex is dropped.
 
     A blocked vertex keeps its out-edges, so a run may leave one but never
     enter one: from a blocked root it is the graph without the other blocked
     vertices.  Rows of unblocked vertices are those of the undirected graph
-    with the blocked vertices removed, entry for entry.
+    with the blocked vertices removed, entry for entry (``blocked`` is a mask).
     """
-    blocked_mask = np.zeros(n_vertices, dtype=bool)
-    blocked_mask[np.asarray(blocked, dtype=np.int64)] = True
-    fwd = ~blocked_mask[edge_v]
-    bwd = ~blocked_mask[edge_u]
-    rows = np.concatenate([edge_u[fwd], edge_v[bwd]])
-    cols = np.concatenate([edge_v[fwd], edge_u[bwd]])
-    vals = np.concatenate([edge_len[fwd], edge_len[bwd]])
-    return csr_matrix((vals, (rows, cols)), shape=(n_vertices, n_vertices))
+    keep = ~blocked[adj.indices]
+    # kept entries before each position, in the index dtype the kernel takes
+    count = np.zeros(adj.nnz + 1, dtype=adj.indptr.dtype)
+    np.cumsum(keep, dtype=count.dtype, out=count[1:])
+    return csr_matrix((adj.data[keep], adj.indices[keep], count[adj.indptr]),
+                      shape=adj.shape)
 
 
 class MetricView:
     """Queries through the open domain under one edge-length assignment.
 
-    Owns the full CSR and the source-directed interior CSR of
-    :func:`drop_incident_edges`.  A pair query is one run from the smaller
+    Holds the full CSR and the domain's one boundary mask; the interior CSR
+    is the full one with its entries into boundary vertices masked out
+    (:func:`drop_incident_edges`).  A pair query is one run from the smaller
     index on the directed matrix, stopped at the target's value: the least
     ``dist[u] + w(u, t)`` over its neighbours in the full CSR (where other
     boundary vertices hold ``inf``), for interior and boundary targets
@@ -279,25 +284,19 @@ class MetricView:
 
     MEMO_SIZE = 256
 
-    def __init__(self, n_vertices, edge_u, edge_v, edge_len, boundary_idx):
-        self._edges = (n_vertices, edge_u, edge_v, edge_len)
-        self.boundary_mask = np.zeros(n_vertices, dtype=bool)
-        self.boundary_mask[boundary_idx] = True
-        self.boundary_mask.flags.writeable = False
+    def __init__(self, full, boundary_mask):
+        self.full = full
+        self.boundary_mask = boundary_mask
         self._memo = {}  # (root, other) -> distance, oldest first
         self._last = None  # (root, radius up to which it is exact, dist)
 
     @cached_property
-    def full(self):
-        return build_adjacency(*self._edges)
-
-    @cached_property
     def interior(self):
-        return drop_incident_edges(*self._edges, np.flatnonzero(self.boundary_mask))
+        return drop_incident_edges(self.full, self.boundary_mask)
 
     @cached_property
     def _buffer(self):
-        return RunBuffer(self._edges[0], self._edges[0] // 16)
+        return RunBuffer(self.full.shape[0], self.full.shape[0] // 16)
 
     def run(self, root, limit=np.inf):
         """Distances from ``root`` on the interior matrix, up to ``limit``,

@@ -79,6 +79,8 @@ def _run_flags(args):
     quad = parse_quadrature(args.quad)
     if args.samples < 1:
         raise ValueError("sample budget must be at least 1")
+    if getattr(args, "inf_queries", 0) < 0:
+        raise ValueError("sample counts must be nonnegative")
     if tol is not None and not tol >= 1.0:
         raise ValueError("tolerance factor must be at least 1")
     return quad, None if tol is None else tol - 1.0

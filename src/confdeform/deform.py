@@ -89,10 +89,9 @@ class DeformedDomain:
             field.values[domain.edge_u], field.values[domain.edge_v],
             domain.edge_len, weight, self.quadrature, h / 2.0,
         )
-        self.view = _graphs.MetricView(
-            domain.n_vertices, domain.edge_u, domain.edge_v, self.edge_len_phi,
-            domain.boundary_idx,
-        )
+        self.view = _graphs.MetricView(_graphs.build_adjacency(
+            domain.n_vertices, domain.edge_u, domain.edge_v, self.edge_len_phi),
+            domain.boundary_mask)
 
     # -- adjacency views ------------------------------------------------------
 

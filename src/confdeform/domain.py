@@ -78,16 +78,19 @@ class MetricDomain:
     def n_edges(self):
         return len(self.edge_len)
 
-    @property
+    @cached_property
     def boundary_mask(self):
-        """Read-only boolean mask of the boundary vertices."""
-        return self.view.boundary_mask
+        """Read-only boolean mask of the boundary vertices; both views share it."""
+        return self._mask(self.boundary_idx)
 
     @cached_property
     def frontier_mask(self):
         """Read-only boolean mask of the frontier vertices."""
+        return self._mask(self.frontier_idx)
+
+    def _mask(self, idx):
         mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[self.frontier_idx] = True
+        mask[idx] = True
         mask.flags.writeable = False
         return mask
 
@@ -128,6 +131,10 @@ class MetricDomain:
             raise DomainError("domain has no vertex coordinates")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"vertex coordinates must be finite, got {x},{y}")
+        lo, hi = self.coords.min(axis=0), self.coords.max(axis=0)
+        if math.dist(np.clip((x, y), lo, hi), (x, y)) > math.dist(lo, hi):
+            raise DomainError(f"point {x},{y} lies too far outside the vertex "
+                              "bounding box")
         d2 = (self.coords[:, 0] - x) ** 2 + (self.coords[:, 1] - y) ** 2
         ties = np.nonzero(d2 == d2.min())[0]
         return int(self.ids[ties].min())
@@ -137,10 +144,9 @@ class MetricDomain:
     @cached_property
     def view(self):
         """Base-metric view: pair queries, rooted runs and geodesics."""
-        return _graphs.MetricView(
-            self.n_vertices, self.edge_u, self.edge_v, self.edge_len,
-            self.boundary_idx,
-        )
+        return _graphs.MetricView(_graphs.build_adjacency(
+            self.n_vertices, self.edge_u, self.edge_v, self.edge_len),
+            self.boundary_mask)
 
     @property
     def adjacency(self):
@@ -380,7 +386,8 @@ def _scan(path):
         cols = (np.empty(n_ids, np.int64), np.empty((n_xy, 2)),
                 np.empty((n_edges, 2), np.int64), np.empty(n_edges),
                 np.empty(n_boundary, np.int64), np.empty(n_frontier, np.int64))
-        if kernel.cd_scan(raw, len(raw), counts, *cols):
+        dtypes = ("i8", "i8", "f8", "i8", "f8", "i8", "i8")
+        if kernel.cd_scan(raw, len(raw), *map(_graphs._ptr, (counts, *cols), dtypes)):
             return None
     at, end = counts[5:]
     try:

@@ -89,21 +89,17 @@ def uniform_curve_d(dd, x, y):
     return Curve.from_indices(dd, path, total_d=total_d)
 
 
-def _geodesic_to_frontier(dd, view, start_idx):
-    """Vertex path from a vertex index to the nearest frontier vertex under
-    one metric's view, and its length."""
+def _geodesic_to_frontier(dd, start_idx, deformed):
+    """Geodesic curve from a vertex index to the nearest frontier vertex in
+    the deformed metric, or in the base metric."""
+    view = dd.view if deformed else dd.domain.view
     fr = dd.domain.frontier_idx
     dist, total = view.nearest(start_idx, fr)
     if not np.isfinite(total):
         raise SynthesisError("frontier unreachable from the start vertex")
     best = int(fr[int(np.argmin(dist[fr]))])
-    return _graphs.extract_path(view.full, dist, start_idx, best), total
-
-
-def _phi_geodesic_to_frontier(dd, start_idx):
-    """Deformed geodesic from a vertex index to the cheapest frontier vertex."""
-    path, total_phi = _geodesic_to_frontier(dd, dd.view, start_idx)
-    return Curve.from_indices(dd, path, total_phi=total_phi)
+    path = _graphs.extract_path(view.full, dist, start_idx, best)
+    return Curve.from_indices(dd, path, *((None, total) if deformed else (total, None)))
 
 
 def _maybe_rebundle(dd, bundle, base_curve, notes):
@@ -168,13 +164,12 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
             return result("medium_inside", bundle.c2, beta, dphi)
         first = int(np.argmax(outside))
         last = len(outside) - 1 - int(np.argmax(outside[::-1]))
-        z1, z2 = beta.vertices[first], beta.vertices[last]
-        splice_ids = [domain.vertex_id(z1), domain.vertex_id(z2)]
+        splice_ids = [domain.vertex_id(beta.vertices[i]) for i in (first, last)]
         if first == last:
             curve = beta
             notes["degenerate_splice"] = True
         else:
-            middle = dd.dphi_geodesic(domain.vertex_id(z1), domain.vertex_id(z2))
+            middle = dd.dphi_geodesic(*splice_ids)
             curve = beta_slice(beta, 0, first).concat(middle) if first > 0 else middle
             if last < len(beta) - 1:
                 curve = curve.concat(beta_slice(beta, last, len(beta) - 1))
@@ -195,11 +190,9 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
                              "inconsistent boundary distances")
     first = int(np.argmax(crossing))
     z1_id = domain.vertex_id(beta.vertices[first])
-    if first == 0:
-        curve = dd.dphi_geodesic(a, b)
-    else:
-        tail = dd.dphi_geodesic(z1_id, b)
-        curve = beta_slice(beta, 0, first).concat(tail)
+    curve = dd.dphi_geodesic(z1_id, b)  # from a itself when first == 0
+    if first > 0:
+        curve = beta_slice(beta, 0, first).concat(curve)
     return result("cross_border", bundle.c3, curve, dphi, [z1_id])
 
 
@@ -219,18 +212,22 @@ def _synthesize_to_infinity(dd, bundle, x):
     estimate = dd.dist_to_infinity(x)
     notes = {"shells": [m]}
 
+    def result(case, predicted, curve, splice_ids=()):
+        """Mark the curve as ending at infinity, measure it and wrap it."""
+        curve = Curve(dd, curve.vertices, curve.incr_d, curve.incr_phi,
+                      curve.total_d, curve.total_phi, to_infinity=True,
+                      estimate=estimate)
+        return SynthesisResult(curve=curve, case=case, predicted=predicted,
+                               measured=uniformity_constant(curve, "phi"),
+                               x=int(x), y=None, splice_ids=list(splice_ids),
+                               notes=notes)
+
     if m >= bundle.m0:
-        path, total_phi = _geodesic_to_frontier(dd, dd.view, ix)
-        curve = Curve.from_indices(dd, path, total_phi=total_phi,
-                                   to_infinity=True, estimate=estimate)
-        measured = uniformity_constant(curve, "phi")
-        return SynthesisResult(curve=curve, case="to_infinity_deep",
-                               predicted=1331.0 / 669.0, measured=measured,
-                               x=int(x), y=None, notes=notes)
+        return result("to_infinity_deep", 1331.0 / 669.0,
+                      _geodesic_to_frontier(dd, ix, deformed=True))
 
     # shallow start: base-metric escape to the frontier
-    path, total_d = _geodesic_to_frontier(dd, domain.view, ix)
-    beta = Curve.from_indices(dd, path, total_d=total_d)
+    beta = _geodesic_to_frontier(dd, ix, deformed=False)
     bundle = _maybe_rebundle(dd, bundle, beta, notes)
 
     # smallest shell at or past m0+n0 whose every vertex is at deformed
@@ -253,20 +250,12 @@ def _synthesize_to_infinity(dd, bundle, x):
         # the base escape reaches the frontier without ever clearing the
         # threshold shell (or only at its endpoint); it is the whole curve
         combined = beta
-    elif cut == 0:
-        combined = _phi_geodesic_to_frontier(dd, ix)
     else:
-        tail = _phi_geodesic_to_frontier(dd, int(beta.vertices[cut]))
-        combined = beta_slice(beta, 0, cut).concat(tail)
-    curve = Curve(dd, combined.vertices, combined.incr_d, combined.incr_phi,
-                  combined.total_d, combined.total_phi, to_infinity=True,
-                  estimate=estimate)
-    measured = uniformity_constant(curve, "phi")
-    return SynthesisResult(curve=curve, case="to_infinity_shallow",
-                           predicted=bundle.c4, measured=measured,
-                           x=int(x), y=None,
-                           splice_ids=[domain.vertex_id(beta.vertices[cut])],
-                           notes=notes)
+        combined = _geodesic_to_frontier(dd, int(beta.vertices[cut]), deformed=True)
+        if cut > 0:
+            combined = beta_slice(beta, 0, cut).concat(combined)
+    return result("to_infinity_shallow", bundle.c4, combined,
+                  [domain.vertex_id(beta.vertices[cut])])
 
 
 def beta_slice(curve, i, j):

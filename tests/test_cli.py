@@ -281,12 +281,28 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
      "coordinates must be finite"),
     (["report", *COMMON, "--cu", "2", "--cq", "1", "--inf-queries", "-3"],
      "sample counts must be nonnegative"),
+    # so far outside the vertices that squared distances overflow, or that
+    # every vertex ties at one squared distance
+    (["distance", *COMMON, "--from", "1e200,0.5", "--to", "0,2"],
+     "too far outside"),
+    (["distance", *COMMON, "--from", "1e20,0.5", "--to", "0,2"],
+     "too far outside"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)
     assert code == 2
     assert err.startswith("error: ")
     assert fragment in err
+
+
+def test_negative_inf_queries_exit_2_before_the_domain_loads(monkeypatch):
+    def no_load(spec):
+        raise AssertionError("the domain was loaded")
+    monkeypatch.setattr(cli, "_load_domain", no_load)
+    code, _, err = run(["report", *COMMON, "--cu", "2", "--cq", "1",
+                        "--inf-queries", "-3"])
+    assert code == 2
+    assert "sample counts must be nonnegative" in err
 
 
 def test_repeated_edge_in_domain_file_exits_2(tmp_path, monkeypatch):

@@ -1,14 +1,18 @@
 """Shortest-path plumbing: exactness and determinism guarantees."""
 
+import gc
 import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from confdeform import _graphs
-from confdeform.domain import generate_domain
+from confdeform import _graphs, domain
+from confdeform.deform import deform
+from confdeform.domain import generate_domain, load_domain
+from confdeform.weight import WeightFunction
 
 
 def _diamond():
@@ -88,9 +92,9 @@ def test_kernel_loaded():
     assert _graphs._kernel is not None
     counts, none = np.zeros(7, np.int64), np.empty(0, np.int64)
     raw = b'{"boundary": [], "edges": [], "vertices": []}'
-    assert _graphs._kernel.cd_scan(raw, len(raw), counts, none, np.empty((0, 2)),
-                                   np.empty((0, 2), np.int64), np.empty(0),
-                                   none, none) == 0
+    cols = (counts, none, np.empty((0, 2)), np.empty((0, 2), np.int64),
+            np.empty(0), none, none)
+    assert _graphs._kernel.cd_scan(raw, len(raw), *(c.ctypes.data for c in cols)) == 0
 
 
 def test_kernel_builds_once_or_warns(tmp_path, monkeypatch, caplog):
@@ -178,7 +182,7 @@ def test_drop_incident_edges_is_source_directed():
     eu = np.array([0, 1, 0, 2, 1])
     ev = np.array([1, 3, 2, 3, 2])
     ew = np.array([1.0, 1.0, 1.5, 1.5, 0.2])
-    cut = _graphs.drop_incident_edges(4, eu, ev, ew, blocked=[1])
+    cut = _graphs.drop_incident_edges(_diamond(), np.array([False, True, False, False]))
     # no edge enters the blocked vertex, so runs from elsewhere avoid it
     assert cut[:, [1]].nnz == 0
     dist = _graphs.distances_from(cut, 0)
@@ -194,6 +198,60 @@ def test_drop_incident_edges_is_source_directed():
         assert (cut[[v]] != without[[v]]).nnz == 0
 
 
+def _interior_from_edges(n, eu, ev, w, blocked):
+    """The source-directed matrix built from the edge list: each direction
+    of an edge is kept unless it enters a blocked vertex."""
+    fwd, bwd = ~blocked[ev], ~blocked[eu]
+    rows = np.concatenate([eu[fwd], ev[bwd]])
+    cols = np.concatenate([ev[fwd], eu[bwd]])
+    vals = np.concatenate([w[fwd], w[bwd]])
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("spec", ["half_plane:width=4,depth=3,h=0.5,conn=8",
+                                  "strip:width=3,h=0.5,conn=4",
+                                  "slit_plane:depth=1,h=0.5,conn=8"])
+@pytest.mark.parametrize("metric", ["base", "phi", "random"])
+def test_masked_interior_equals_the_edge_list_build(spec, metric):
+    dom = generate_domain(spec)
+    rng = np.random.default_rng(5)
+    w = {"base": dom.edge_len,
+         "phi": deform(dom, WeightFunction.power(2)).edge_len_phi,
+         "random": rng.uniform(0.5, 1.5, dom.n_edges)}[metric]
+    full = _graphs.build_adjacency(dom.n_vertices, dom.edge_u, dom.edge_v, w)
+    # the domain's boundary, no vertex, every vertex and a random third
+    for blocked in (dom.boundary_mask, np.zeros(dom.n_vertices, dtype=bool),
+                    np.ones(dom.n_vertices, dtype=bool), rng.random(dom.n_vertices) < 0.3):
+        got = _graphs.drop_incident_edges(full, blocked)
+        want = _interior_from_edges(dom.n_vertices, dom.edge_u, dom.edge_v, w, blocked)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+
+
+def test_kernel_calls_leave_no_reference_cycles(tmp_path):
+    # every array a kernel call took is freed when its last owner drops it,
+    # not at the next garbage collection
+    path = tmp_path / "strip.json"
+    generate_domain("strip:width=4,h=0.5").save(path)
+    adj = _diamond()
+    gc.collect()
+    gc.disable()
+    try:
+        dist = _graphs.distances_from(adj, 0)
+        _graphs.distances_from(adj, 0, limit=1.1)
+        _graphs.distances_from(adj, 0, stop=(np.array([3]), 0.0))
+        _graphs.min_distance_field(adj, [0, 3])
+        assert _graphs.extract_path(adj, dist, 0, 3).tolist() == [0, 1, 3]
+        assert domain._scan(path) is not None  # the C scanner reads the file
+        dom = load_domain(path)
+        assert dom.distance(int(dom.ids[3]), int(dom.ids[12])) > 0.0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _deep_graphs():
     """(name, matrix, domain) on grids of about 40k vertices, where the heap
     holds hundreds of entries: a half plane's full and interior matrices,
@@ -203,10 +261,10 @@ def _deep_graphs():
     lengths = sp.edge_len * np.random.default_rng(3).uniform(0.5, 2.0, sp.n_edges)
     out = []
     for name, d, w in (("half_plane", hp, hp.edge_len), ("slit_random", sp, lengths)):
-        edges = (d.n_vertices, d.edge_u, d.edge_v, w)
-        out.append((f"{name}_full", _graphs.build_adjacency(*edges), d))
+        full = _graphs.build_adjacency(d.n_vertices, d.edge_u, d.edge_v, w)
+        out.append((f"{name}_full", full, d))
         out.append((f"{name}_interior",
-                    _graphs.drop_incident_edges(*edges, d.boundary_idx), d))
+                    _graphs.drop_incident_edges(full, d.boundary_mask), d))
     return out
 
 

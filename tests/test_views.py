@@ -41,6 +41,16 @@ def _edges(spec, metric, seed):
     return dom.n_vertices, dom.edge_u, dom.edge_v, w, dom.boundary_idx
 
 
+def _view(edges):
+    """The view a domain makes of these edges: their full matrix and a
+    read-only boundary mask."""
+    n, eu, ev, w, boundary = edges
+    mask = np.zeros(n, dtype=bool)
+    mask[boundary] = True
+    mask.flags.writeable = False
+    return _graphs.MetricView(_graphs.build_adjacency(n, eu, ev, w), mask)
+
+
 def _rebuilt(n, eu, ev, w, boundary, ia, ib):
     """Distance and path on a matrix rebuilt for the query: boundary
     vertices isolated except the two endpoints, rooted at the smaller."""
@@ -78,9 +88,9 @@ def _pair_suite(spec, metric, seed):
         for ib in range(ia + 1, n):
             want, want_path = _rebuilt(*edges, ia, ib)
             # a fresh view per comparison, so no memo can answer
-            got = _graphs.MetricView(*edges).distance(ia, ib)
+            got = _view(edges).distance(ia, ib)
             assert got == want or (math.isinf(got) and math.isinf(want))
-            view = _graphs.MetricView(*edges)
+            view = _view(edges)
             val, path = view.geodesic(ia, ib)
             assert val == got or (math.isinf(val) and math.isinf(want))
             if want_path is None:
@@ -115,9 +125,9 @@ def test_view_matches_rebuilt_matrix_without_the_kernel(spec, metric, seed):
 def test_bounded_runs_are_exact_where_they_reach(spec, metric, seed):
     edges = _edges(spec, metric, seed)
     for root in range(edges[0]):
-        full = _graphs.MetricView(*edges).run(root)
+        full = _view(edges).run(root)
         for limit in np.unique(full[np.isfinite(full)]):
-            bounded = _graphs.MetricView(*edges).run(root, limit)
+            bounded = _view(edges).run(root, limit)
             reached = np.isfinite(bounded)
             assert (bounded[reached] == full[reached]).all()
             assert (full[~reached] > limit).all()
@@ -132,7 +142,7 @@ def _same(a, b):
        st.integers(min_value=0, max_value=10_000))
 def test_kernel_runs_and_walks_match_scipy(spec, metric, seed):
     edges = _edges(spec, metric, seed)
-    view = _graphs.MetricView(*edges)
+    view = _view(edges)
     frontier = generate_domain(spec).frontier_idx
     for root in range(edges[0]):
         full = dijkstra(view.interior, directed=True, indices=root)
@@ -180,7 +190,7 @@ def test_one_view_keeps_no_state_between_runs(metric, seed):
     spec = "half_plane:width=4,depth=8,h=0.25,conn=8"
     edges = _edges(spec, metric, seed)
     n, boundary = edges[0], edges[4]
-    view = _graphs.MetricView(*edges)
+    view = _view(edges)
     dom = generate_domain(spec)
     frontier, y = dom.frontier_idx, dom.coords[:, 1]
     interior = np.flatnonzero(~view.boundary_mask)
@@ -291,6 +301,23 @@ def test_boundary_endpoint_queries_build_no_matrix(warm, monkeypatch):
         assert synthesis.uniform_curve_d(dd, x, y).end_id == y
     assert dd.dist_to_infinity(b1).upper > 0.0
     assert builds == [] and drops == []
+
+
+def test_one_boundary_mask_per_domain(monkeypatch):
+    dom = half_plane(width=4, depth=8, h=0.25, conn=8)
+    builds = _counted(monkeypatch, "build_adjacency")
+    drops = _counted(monkeypatch, "drop_incident_edges")
+    mask = dom.boundary_mask
+    assert builds == [] and drops == []
+    assert mask is dom.boundary_mask and not mask.flags.writeable
+    assert np.flatnonzero(mask).tolist() == sorted(dom.boundary_idx.tolist())
+    dd = deform(dom, W2)
+    assert dd.view.boundary_mask is mask and dom.view.boundary_mask is mask
+    # each metric builds its full matrix once and masks its interior from it
+    for matrix in (dom.adjacency_interior, dd.adjacency_phi_interior,
+                   dd.adjacency_phi, dom.adjacency_interior):
+        assert matrix.nnz
+    assert len(builds) == 1 and len(drops) == 2
 
 
 def test_distance_then_geodesic_runs_once(warm, monkeypatch):
