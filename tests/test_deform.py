@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confdeform.deform import DeformError, deform, parse_quadrature
-from confdeform.domain import DomainError, MetricDomain, half_plane, strip
+from confdeform.domain import (DomainError, MetricDomain, boundary_distance,
+                               half_plane, strip)
 from confdeform.weight import WeightFunction
 
 from test_domain import path_domain
@@ -49,6 +50,21 @@ def test_subdivided_edge_converges_to_integral():
     assert vals[0] > vals[1] > vals[2] > vals[3] > exact
     assert abs(vals[3] - exact) <= 0.01 * exact
     assert abs(vals[2] - exact) <= 0.04 * exact
+
+
+def test_blocked_quadrature_equals_one_pass():
+    # edges are integrated in blocks of about 2**18 nodes; the lengths are
+    # those of one pass over all edges, bitwise, across the block seams
+    d = half_plane(width=20, depth=20, h=0.1, conn=8)
+    depth = boundary_distance(d).values
+    for w, k in ((W2, 1), (W3, 4), (WeightFunction.parse("powerlog:beta=2,kappa=1"), 9)):
+        assert d.n_edges > 2**18 // (k + 1)  # more than one block
+        nodes = np.linspace(0.0, 1.0, k + 1)
+        t = depth[d.edge_u, None] * (1.0 - nodes) + depth[d.edge_v, None] * nodes
+        vals = w.value(np.maximum(t, d.mesh_size / 2.0))
+        trapz = (vals[:, 0] + vals[:, -1]) / 2.0 + vals[:, 1:-1].sum(axis=1)
+        got = deform(d, w, quadrature=k).edge_len_phi
+        assert got.tobytes() == (d.edge_len * (trapz / k)).tobytes()
 
 
 def test_shallow_edges_are_untouched():
