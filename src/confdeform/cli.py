@@ -114,12 +114,8 @@ def cmd_distance(args):
         _emit(est.to_dict(), args.out)
         return 0
     y = _resolve_vertex(dd.domain, args.to)
-    record = {
-        "x": x, "y": y,
-        "d": dd.domain.distance(x, y),
-        "d_phi": dd.dphi_distance(x, y),
-    }
-    _emit(record, args.out)
+    _emit({"x": x, "y": y, "d": dd.domain.distance(x, y),
+           "d_phi": dd.dphi_distance(x, y)}, args.out)
     return 0
 
 
@@ -156,9 +152,7 @@ def cmd_constants(args):
         raise DomainError("constants needs either --cu and --cq or --domain")
     dd, _ = _build_deformed(args)
     bundle, info = _bundle_for(dd, args)
-    payload = bundle.to_dict()
-    payload.update(info)
-    _emit(payload, args.out)
+    _emit({**bundle.to_dict(), **info}, args.out)
     return 0
 
 
@@ -171,9 +165,7 @@ def cmd_synthesize(args):
     else:
         y = _resolve_vertex(dd.domain, args.to)
         result = synthesize(dd, bundle, x, y)
-    payload = result.to_dict()
-    payload["curve"] = result.curve.to_dict()
-    _emit(payload, args.out)
+    _emit({**result.to_dict(), "curve": result.curve.to_dict()}, args.out)
     return 0
 
 
@@ -211,12 +203,10 @@ def cmd_report(args):
         dd, bundle, n_pairs=args.samples, n_to_infinity=args.inf_queries,
         seed=args.seed, tolerance=tol,
     )
-    with open(os.path.join(out_dir, "aggregate.json"), "w") as fh:
-        fh.write(json.dumps(aggregate, sort_keys=True, indent=2) + "\n")
+    _emit(aggregate, os.path.join(out_dir, "aggregate.json"))
     with open(os.path.join(out_dir, "checks.csv"), "w") as fh:
         fh.write(verify.report_csv(reports))
-    with open(os.path.join(out_dir, "synthesis.json"), "w") as fh:
-        fh.write(json.dumps(synth, sort_keys=True, indent=2) + "\n")
+    _emit(synth, os.path.join(out_dir, "synthesis.json"))
     bad = aggregate["violations_total"] > 0 or bool(synth["summary"]["flags"])
     return 1 if bad else 0
 

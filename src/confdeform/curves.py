@@ -55,10 +55,8 @@ class Curve:
         pass the Dijkstra distance so lengths telescope exactly.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        # both matrices come from one edge list, so one lookup serves both
-        steps = _graphs.edge_positions(dd.domain.adjacency, indices)
-        incr_d = dd.domain.adjacency.data[steps]
-        incr_phi = dd.adjacency_phi.data[steps]
+        incr_d = _graphs.edge_lengths_along(dd.domain.adjacency, indices)
+        incr_phi = _graphs.edge_lengths_along(dd.adjacency_phi, indices)
         return cls(
             dd, indices, incr_d, incr_phi,
             float(np.sum(incr_d)) if total_d is None else total_d,

@@ -68,7 +68,8 @@ def parse_quadrature(text):
 
 
 class DeformedDomain:
-    """A domain together with its deformed edge lengths and cached fields.
+    """A domain together with its deformed edge lengths and cached fields,
+    each computed on first use.
 
     Immutable once built; all queries are pure.
     """
@@ -88,12 +89,20 @@ class DeformedDomain:
         self.weight = weight
         self.field = field
         self.quadrature = int(quadrature)
-        self.edge_len_phi = _deformed_edge_lengths(domain, field.values, weight, self.quadrature)
-        self.view = _graphs.MetricView(_graphs.build_adjacency(
-            domain.n_vertices, domain.edge_u, domain.edge_v, self.edge_len_phi),
-            domain.boundary_mask)
 
-    # -- adjacency views ------------------------------------------------------
+    # -- edge lengths and adjacency views -------------------------------------
+
+    @cached_property
+    def edge_len_phi(self):
+        return _deformed_edge_lengths(self.domain, self.field.values, self.weight,
+                                      self.quadrature)
+
+    @cached_property
+    def view(self):
+        """Deformed-metric view: pair queries, rooted runs and geodesics."""
+        return _graphs.MetricView(_graphs.build_adjacency(
+            self.domain.n_vertices, self.domain.edge_u, self.domain.edge_v,
+            self.edge_len_phi), self.domain.boundary_mask)
 
     @property
     def adjacency_phi(self):
@@ -224,6 +233,7 @@ class InfinityEstimate:
             "lower": self.lower,
             "upper": self.upper,
             "frontier_shell": self.frontier_shell,
+            "clamped": self.clamped,
         }
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -64,7 +65,7 @@ def test_distance_to_infinity_interval():
     code, out, _ = run(["distance", *COMMON, "--from", "id:0", "--to", "inf"])
     assert code == 0
     rec = json.loads(out)
-    assert set(rec) == {"x", "lower", "upper", "frontier_shell"}
+    assert set(rec) == {"x", "lower", "upper", "frontier_shell", "clamped"}
     assert rec["x"] == 0
     assert 0.0 < rec["lower"] <= rec["upper"]
     assert rec["frontier_shell"] == 3
@@ -120,6 +121,21 @@ def test_constants_estimated_from_domain():
     assert est["pairs"] > 0
     assert est["cu"] >= 1.0 and est["cq"] >= 1.0
     assert rec["m0"] >= rec["n0"] + 3
+
+
+def test_constants_from_a_domain_builds_no_deformed_matrix(monkeypatch):
+    # the estimate reads the base metric only: no quadrature, one matrix
+    calls = []
+    for owner, name in ((_graphs, "build_adjacency"),
+                        (sys.modules["confdeform.deform"], "_deformed_edge_lengths")):
+        def counted(*args, orig=getattr(owner, name), name=name, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    code, _, _ = run(["constants", "--weight", W, "--domain", DOM,
+                      "--samples", "20", "--seed", "0"])
+    assert code == 0
+    assert calls == ["build_adjacency"]
 
 
 def test_constants_needs_domain_or_overrides():
@@ -287,6 +303,14 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
      "too far outside"),
     (["distance", *COMMON, "--from", "1e20,0.5", "--to", "0,2"],
      "too far outside"),
+    # generator extents: named, not an OverflowError, ZeroDivisionError or
+    # numpy's sample count
+    (["distance", "--domain", "half_plane:width=inf", "--weight", W,
+      "--from", "0,1", "--to", "0,2"], "extent inf must be finite"),
+    (["distance", "--domain", "half_plane:h=0", "--weight", W,
+      "--from", "0,1", "--to", "0,2"], "mesh size h must be positive and finite, got 0.0"),
+    (["distance", "--domain", "half_plane:h=-0.5,width=2,depth=2", "--weight", W,
+      "--from", "0,1", "--to", "0,2"], "mesh size h must be positive and finite, got -0.5"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)

@@ -62,6 +62,10 @@ def test_construction_errors(hp, dd):
     far = hp.index(hp.nearest_vertex(2.0, 3.5))
     with pytest.raises(ValueError):
         Curve.from_indices(dd, [i0, far])  # not adjacent
+    n = hp.n_vertices
+    for bad in ([i0, -1], [-n, i0], [i0, n], [i0, i1, n + 5]):
+        with pytest.raises(IndexError):
+            Curve.from_indices(dd, bad)
 
 
 def test_ids_and_orientation(hp, dd):

@@ -248,6 +248,7 @@ def test_dist_to_infinity_brackets_the_escape():
     assert est.width <= 0.13  # tail_sum(4) - integral_tail(20)
     assert est.to_dict() == {
         "x": x, "lower": est.lower, "upper": est.upper, "frontier_shell": 5,
+        "clamped": False,
     }
 
 
@@ -298,7 +299,9 @@ def test_dist_to_infinity_flags_a_clamped_interval(monkeypatch):
     est = dd.dist_to_infinity(x)
     assert est.clamped
     assert est.lower == est.upper == est.frontier_dphi
-    assert set(est.to_dict()) == {"x", "lower", "upper", "frontier_shell"}
+    assert set(est.to_dict()) == {"x", "lower", "upper", "frontier_shell",
+                                  "clamped"}
+    assert est.to_dict()["clamped"] is True
 
 
 def test_dist_to_infinity_requires_frontier():

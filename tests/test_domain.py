@@ -130,6 +130,17 @@ def test_generate_domain_spec_strings():
         generate_domain("half_plane:width=often")
     with pytest.raises(DomainError):
         generate_domain("half_plane:width=2,h=0.3")  # extent not a mesh multiple
+    # a bad extent or mesh size is named, whatever arithmetic it would break
+    for spec, match in (("half_plane:width=inf", "extent inf"),
+                        ("half_plane:depth=nan", "extent nan"),
+                        ("strip:width=-2,h=0.5", "extent -2.0"),
+                        ("slit_plane:depth=-1", "extent -4.0"),
+                        ("half_plane:h=0", "got 0.0"),
+                        ("half_plane:h=-0.5,width=2,depth=2", "got -0.5"),
+                        ("strip:h=inf", "got inf"),
+                        ("slit_plane:h=nan", "got nan")):
+        with pytest.raises(DomainError, match=match):
+            generate_domain(spec)
 
 
 def test_nearest_vertex_tie_breaks_to_smallest_id():
@@ -266,8 +277,9 @@ def test_json_round_trip(tmp_path):
 
 
 def _oracle_bytes(domain_):
-    """The layout's reference text: the standard library's indented dump."""
-    return (json.dumps(domain_.to_dict(), sort_keys=True, indent=1) + "\n").encode()
+    """The layout's reference text: the standard library's compact dump."""
+    return (json.dumps(domain_.to_dict(), sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
 
 
 _finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -291,8 +303,8 @@ _meta_value = st.recursive(
        with_coords=st.booleans(), with_frontier=st.booleans(),
        bad_coord=st.sampled_from([None, np.nan, np.inf, -np.inf]),
        meta=st.dictionaries(st.text(max_size=4), _meta_value, max_size=4))
-def test_save_matches_indented_dump(tmp_path_factory, n, seed, with_coords,
-                                    with_frontier, bad_coord, meta):
+def test_save_matches_compact_dump(tmp_path_factory, n, seed, with_coords,
+                                   with_frontier, bad_coord, meta):
     rng = np.random.default_rng(seed)
     ids = rng.choice(np.arange(-50, 50), size=n, replace=False)
     # a random tree keeps the graph connected; a few chords on top
@@ -317,6 +329,10 @@ def test_save_matches_indented_dump(tmp_path_factory, n, seed, with_coords,
     assert path.read_bytes() == _oracle_bytes(d)
     if bad_coord is None:
         assert load_domain(path).to_dict() == d.to_dict()
+        # files saved in the earlier indented layout still load
+        old = path.with_name("indented.json")
+        old.write_text(json.dumps(d.to_dict(), sort_keys=True, indent=1) + "\n")
+        assert load_domain(old).to_dict() == d.to_dict()
 
 
 def test_save_writes_in_blocks(tmp_path, monkeypatch):

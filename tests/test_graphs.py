@@ -144,8 +144,13 @@ def test_edge_lengths_along():
     adj = _diamond()
     steps = _graphs.edge_lengths_along(adj, [0, 1, 2, 3])
     assert steps.tolist() == [1.0, 0.2, 1.5]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not adjacent"):
         _graphs.edge_lengths_along(adj, [0, 3])
+    # scipy's indexing reads A[-1, 0] as the last row: range-checked first
+    for path in ([0, 1, -1], [-4, 0], [0, 4], [3, 2, 1, 40]):
+        with pytest.raises(IndexError, match="out of range"):
+            _graphs.edge_lengths_along(adj, path)
+    assert _graphs.edge_lengths_along(adj, [2]).size == 0
 
 
 def _random_geometric_adjacency(rng, n=60):
