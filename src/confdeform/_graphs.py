@@ -192,6 +192,9 @@ def extract_path(adj, dist, source, target):
     return np.asarray(path[::-1], dtype=np.int64)
 
 
+_inner_lookup = getattr(csr_matrix, "_get_arrayXarray", None)  # private: may go
+
+
 def edge_lengths_along(adj, path):
     """Per-step edge lengths of a vertex index sequence, read from the CSR
     matrix ``adj`` by scipy's element lookup.  Raises if an index is out of
@@ -199,9 +202,11 @@ def edge_lengths_along(adj, path):
     path, n = np.asarray(path, dtype=np.int64), adj.shape[0]
     if not ((0 <= path) & (path < n)).all():
         raise IndexError(f"vertex index out of range for {n} vertices")
-    # adj[u, v] less its index checks, made above (scipy wraps a negative
-    # index); they take 3/4 of the time of a few-hundred-step lookup
-    steps = np.asarray(adj._get_arrayXarray(path[:-1], path[1:])).ravel()
+    u, v = path[:-1], path[1:]
+    # adj[u, v] less its index checks (made above; scipy wraps a negative index),
+    # which take 3/4 of a few-hundred-step lookup; a scipy without it pays them
+    steps = _inner_lookup(adj, u, v) if _inner_lookup else adj[u, v] if u.size else u[:0]
+    steps = np.asarray(steps, dtype=np.float64).ravel()
     if not steps.all():  # edge lengths are positive: a zero is no entry
         i = int(np.argmin(steps))
         raise ValueError(f"vertices {path[i]} and {path[i + 1]} are not adjacent")

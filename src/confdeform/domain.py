@@ -160,6 +160,12 @@ class MetricDomain:
         on this view.  Frontier vertices are ordinary interior vertices."""
         return self.view.interior
 
+    @cached_property
+    def interior_components(self):
+        """Strong component label per vertex of the interior matrix (both
+        metrics share it); each boundary vertex is a component of its own."""
+        return connected_components(self.adjacency_interior, connection="strong")[1]
+
     def distance(self, x, y):
         """Graph distance between two ids through the open domain.
 

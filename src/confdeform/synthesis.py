@@ -196,6 +196,19 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
     return result("cross_border", bundle.c3, curve, dphi, [z1_id])
 
 
+def _threshold_shell(dd, bundle, ix):
+    """k_star: the first shell from m0+n0 on with a vertex reachable from ``ix``
+    and none nearer than the crossing threshold (else m0+n0), from one run
+    bounded at the threshold and the domain's cached interior components."""
+    threshold, low = bundle.t_small * bundle.lam, bundle.m0 + bundle.n0
+    shells, labels = dd.field.shells, dd.domain.interior_components
+    size = int(shells.max()) + 1  # no shell from low on: both slices are empty
+    reached = np.bincount(shells[labels == labels[ix]], minlength=size)[low:]
+    near = np.bincount(shells[dd.view.run(ix, threshold) < threshold], minlength=size)[low:]
+    fits = np.flatnonzero((reached > 0) & (near == 0))
+    return low + int(fits[0]) if fits.size else low
+
+
 def _synthesize_to_infinity(dd, bundle, x):
     domain = dd.domain
     if domain.frontier_idx.size == 0:
@@ -226,25 +239,12 @@ def _synthesize_to_infinity(dd, bundle, x):
         return result("to_infinity_deep", 1331.0 / 669.0,
                       _geodesic_to_frontier(dd, ix, deformed=True))
 
-    # shallow start: base-metric escape to the frontier
+    # shallow start: the base escape up to shell k_star, then the deformed one
     beta = _geodesic_to_frontier(dd, ix, deformed=False)
     bundle = _maybe_rebundle(dd, bundle, beta, notes)
 
-    # smallest shell at or past m0+n0 whose every vertex is at deformed
-    # distance at least the crossing threshold from x; fall back to m0+n0
-    threshold = bundle.t_small * bundle.lam
-    dist_phi = dd.view.run(ix)
-    shells = dd.field.shells
-    k_star = bundle.m0 + bundle.n0
-    for cand in range(bundle.m0 + bundle.n0, int(shells.max()) + 1):
-        members = np.nonzero(shells == cand)[0]
-        members = members[np.isfinite(dist_phi[members])]
-        if members.size and dist_phi[members].min() >= threshold:
-            k_star = cand
-            break
-    notes["k_star"] = k_star
-
-    past = shells[beta.vertices] >= k_star
+    notes["k_star"] = k_star = _threshold_shell(dd, bundle, ix)
+    past = dd.field.shells[beta.vertices] >= k_star
     cut = int(np.argmax(past)) if past.any() else len(beta) - 1
     if cut == len(beta) - 1:
         # the base escape reaches the frontier without ever clearing the

@@ -153,6 +153,37 @@ def test_edge_lengths_along():
     assert _graphs.edge_lengths_along(adj, [2]).size == 0
 
 
+def test_edge_lengths_along_without_scipy_private_lookup(monkeypatch):
+    # a scipy without csr_matrix._get_arrayXarray: the public adj[u, v]
+    # serves.  scipy's own indexing calls that method, so it is taken from
+    # confdeform's reach only, not from scipy.
+    dd = deform(generate_domain("half_plane:width=4,depth=4,h=0.5,conn=8"),
+                WeightFunction.power(2))
+    diamond = _diamond()
+    cases = [(diamond, [0, 1, 2, 3]), (diamond, [2]),
+             (dd.domain.adjacency, dd.domain.view.geodesic(0, 80)[1]),
+             (dd.adjacency_phi, dd.view.geodesic(3, 75)[1])]
+    bad = [(diamond, [0, 3]), (dd.adjacency_phi, [3, 4, 5, 80]),
+           (diamond, [0, 1, -1]), (diamond, [-4, 0]), (diamond, [0, 4]),
+           (diamond, [3, 2, 1, 40])]
+
+    def outcomes():
+        out = []
+        for adj, path in cases:
+            steps = _graphs.edge_lengths_along(adj, path)
+            out.append((steps.dtype, steps.tobytes()))
+        for adj, path in bad:
+            with pytest.raises((IndexError, ValueError)) as exc:
+                _graphs.edge_lengths_along(adj, path)
+            out.append((exc.type, str(exc.value)))
+        return out
+
+    private = outcomes()
+    monkeypatch.setattr(_graphs, "_inner_lookup", None)
+    assert outcomes() == private
+    assert [kind for kind, _ in private[4:]] == [ValueError] * 2 + [IndexError] * 4
+
+
 def _random_geometric_adjacency(rng, n=60):
     pts = rng.random((n, 2))
     edges = []

@@ -1,10 +1,15 @@
 """Case routing, splicing, and prediction audits of the curve synthesis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from confdeform import _graphs, synthesis
 from confdeform.deform import deform
-from confdeform.domain import MetricDomain, half_plane, estimate_metric_constants
+from confdeform.domain import (
+    MetricDomain, estimate_metric_constants, half_plane, slit_plane,
+)
 from confdeform.synthesis import (
     CASE_TAGS,
     SynthesisError,
@@ -171,6 +176,161 @@ def test_shallow_escape_without_threshold_shell():
     assert res.curve.to_infinity
     assert res.curve.end_id == vertex_at(domain, dd, 33.0)
     assert res.notes["k_star"] == 9
+
+
+# -- the threshold shell k_star ----------------------------------------------------
+
+
+def _full_run_threshold_shell(dd, bundle, ix):
+    """The oracle: the first shell from m0+n0 on that has members reachable
+    in a full deformed run from ``ix``, all at the crossing threshold or
+    past it, else m0+n0."""
+    threshold = bundle.t_small * bundle.lam
+    dist_phi = dd.view.run(ix)
+    shells = dd.field.shells
+    for cand in range(bundle.m0 + bundle.n0, int(shells.max()) + 1):
+        members = np.nonzero(shells == cand)[0]
+        members = members[np.isfinite(dist_phi[members])]
+        if members.size and dist_phi[members].min() >= threshold:
+            return cand
+    return bundle.m0 + bundle.n0
+
+
+def _with_threshold(bundle, threshold):
+    return dataclasses.replace(bundle, t_small=threshold / bundle.lam)
+
+
+SEARCHES = {"bounded": synthesis._threshold_shell, "oracle": _full_run_threshold_shell}
+
+
+def _shallow_to_infinity(domain, bundle, starts, monkeypatch):
+    """Each start's to-infinity result on a fresh deformed domain, keyed by
+    (kernel or "scipy", "bounded" search or its "oracle")."""
+    out = {}
+    for engine, kernel in (("kernel", _graphs._kernel), ("scipy", None)):
+        monkeypatch.setattr(_graphs, "_kernel", kernel)
+        for name, search in SEARCHES.items():
+            monkeypatch.setattr(synthesis, "_threshold_shell", search)
+            dd = deform(domain, W2)
+            out[engine, name] = [
+                synthesize(dd, bundle, domain.vertex_id(ix), to_infinity=True)
+                for ix in starts]
+    return out
+
+
+def _assert_same_results(out):
+    """Bounded search and oracle agree bitwise in k_star, curve and measured."""
+    for engine in ("kernel", "scipy"):
+        for a, b in zip(out[engine, "bounded"], out[engine, "oracle"], strict=True):
+            assert a.case == b.case == "to_infinity_shallow"
+            assert a.notes == b.notes
+            assert a.curve.vertices.tobytes() == b.curve.vertices.tobytes()
+            assert a.measured == b.measured and a.splice_ids == b.splice_ids
+
+
+def _tall():
+    return half_plane(width=4, depth=600, h=0.5, conn=8)  # shells up to 10
+
+
+@pytest.mark.parametrize("threshold, k_stars", [
+    # the bundle's own threshold (8.7e-7): every shell lies past it
+    (None, [9] * 7),
+    # from depth 0.5 shell 9 starts below it (at 1.4987) and shell 10 past
+    # it; from depth 1 on every shell starts below it: m0+n0
+    (1.4999, [10, 10, 9, 9, 9, 9, 9]),
+    (2.0, [9] * 7),
+])
+def test_threshold_shell_matches_full_run_on_half_plane(threshold, k_stars, monkeypatch):
+    domain = _tall()
+    bundle = derive_constants(W2, cu=1.0, cq=1.0)
+    if threshold is not None:
+        bundle = _with_threshold(bundle, threshold)
+    values = deform(domain, W2).field.values
+    starts = np.flatnonzero((values > 0.4) & (values < 3.0))[::7]
+    assert values[starts].tolist() == [0.5, 0.5, 1.0, 1.5, 2.0, 2.0, 2.5]
+    out = _shallow_to_infinity(domain, bundle, starts, monkeypatch)
+    _assert_same_results(out)
+    assert [r.notes["k_star"] for r in out["kernel", "bounded"]] == k_stars
+
+
+def test_threshold_shell_matches_full_run_on_slit_and_ray(ray, monkeypatch):
+    domain = slit_plane(depth=4.0, h=0.25, conn=8)
+    bundle = derive_constants(W2, cu=1.0, cq=1.0)
+    values = deform(domain, W2).field.values
+    starts = np.flatnonzero(~domain.boundary_mask & ~domain.frontier_mask
+                            & (values < 4.0))[::97]
+    _assert_same_results(_shallow_to_infinity(domain, bundle, starts, monkeypatch))
+    domain, dd, bundle = ray
+    starts = [domain.index(vertex_at(domain, dd, h)) for h in (0.4, 1.0, 2.0, 64.0)]
+    for threshold in (None, 1.0, 1.6):
+        b = bundle if threshold is None else _with_threshold(bundle, threshold)
+        _assert_same_results(_shallow_to_infinity(domain, b, starts, monkeypatch))
+
+
+def walled_rays():
+    """Two rays from one boundary foot (vertex 0), each topped by a frontier
+    vertex; the foot is the wall between their interiors.  Ray A (ids 1-13)
+    climbs 0.4, 1, 2, ..., 512, then skips shell 10 to 2048 and 4096; ray B
+    (ids 14-27) climbs 0.4, 1, 2, ..., 4096 through every shell."""
+    a = [0.4] + [float(2 ** k) for k in range(10)] + [2048.0, 4096.0]
+    b = [0.4] + [float(2 ** k) for k in range(13)]
+    eu, ev, lens, ids = [], [], [], [0]
+    for heights in (a, b):
+        prev, prev_h = 0, 0.0
+        for h in heights:
+            ids.append(len(ids))
+            eu.append(prev), ev.append(ids[-1]), lens.append(h - prev_h)
+            prev, prev_h = ids[-1], h
+    return MetricDomain(
+        ids=np.array(ids), coords=None, edge_u=np.array(eu), edge_v=np.array(ev),
+        edge_len=np.array(lens), boundary_idx=np.array([0]),
+        frontier_idx=np.array([len(a), len(ids) - 1]),
+    )
+
+
+def test_threshold_shell_skips_shells_unreachable_past_a_wall(monkeypatch):
+    domain = walled_rays()
+    labels = domain.interior_components
+    assert labels[1] == labels[13] != labels[14] == labels[27]
+    assert len({labels[0], labels[1], labels[14]}) == 3  # the foot is alone
+    dd = deform(domain, W2)
+    assert dd.field.shells[[11, 12, 13]].tolist() == [9, 11, 12]
+    assert dd.field.shells[25] == 10  # shell 10 lies only past the wall
+    full = dd.view.run(1)
+    # shell 9 (id 11) lies below the threshold, shell 11 (id 12) past it;
+    # shell 10 has no member reachable from id 1, so k_star is 11, not 10
+    threshold = (full[11] + full[12]) / 2.0
+    bundle = _with_threshold(derive_constants(W2, cu=1.0, cq=1.0), threshold)
+    assert bundle.m0 + bundle.n0 == 9
+    out = _shallow_to_infinity(domain, bundle, [1], monkeypatch)
+    _assert_same_results(out)
+    res = out["kernel", "bounded"][0]
+    assert "rebundled_cu" not in res.notes
+    assert res.notes["k_star"] == 11
+    assert res.splice_ids == [12]
+    assert res.curve.vertex_ids == list(range(1, 14))
+
+
+def test_shallow_escape_runs_three_bounded_dijkstras(monkeypatch):
+    domain = _tall()
+    dd = deform(domain, W2)
+    bundle = derive_constants(W2, cu=1.0, cq=1.0)
+    dd.adjacency_phi_interior, dd.frontier_field_phi, domain.adjacency_interior
+    runs = []
+    real = _graphs.distances_from
+
+    def recorded(adj, source, limit=np.inf, stop=None, into=None):
+        runs.append((limit, stop is not None))
+        return real(adj, source, limit, stop, into)
+
+    monkeypatch.setattr(_graphs, "distances_from", recorded)
+    x = domain.vertex_id(np.flatnonzero(dd.field.values == 1.0)[1])
+    res = synthesize(dd, bundle, x, to_infinity=True)
+    assert res.case == "to_infinity_shallow"
+    assert res.curve.start_id == x != res.splice_ids[0] != res.curve.end_id
+    # base escape, the search bounded at the threshold, deformed escape
+    assert runs == [(np.inf, True), (bundle.t_small * bundle.lam, False),
+                    (np.inf, True)]
 
 
 # -- splicing on a canyon --------------------------------------------------------------
