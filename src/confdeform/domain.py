@@ -23,6 +23,7 @@ import inspect
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -88,6 +89,13 @@ class MetricDomain:
         """Read-only boolean mask of the frontier vertices."""
         return self._mask(self.frontier_idx)
 
+    @cached_property
+    def _box(self):
+        """Lowest and highest corner of the coordinates' bounding box (one
+        column at a time: numpy reduces an (n, 2) array along axis 0 slowly)."""
+        x, y = self.coords[:, 0], self.coords[:, 1]
+        return np.array([x.min(), y.min()]), np.array([x.max(), y.max()])
+
     def _mask(self, idx):
         mask = np.zeros(self.n_vertices, dtype=bool)
         mask[idx] = True
@@ -118,8 +126,11 @@ class MetricDomain:
         return _id_lookup(self.ids)
 
     def index(self, vertex_id):
-        """Row index of a vertex id."""
-        vid = _integers([int(vertex_id)], "a vertex id")
+        """Row index of a vertex id, a Python or numpy integer."""
+        try:
+            vid = _integers([operator.index(vertex_id)], "a vertex id")
+        except TypeError:
+            raise DomainError(f"a vertex id must be an integer, got {vertex_id!r}") from None
         return int(self._by_id(vid, "unknown vertex id")[0])
 
     def vertex_id(self, idx):
@@ -131,7 +142,7 @@ class MetricDomain:
             raise DomainError("domain has no vertex coordinates")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"vertex coordinates must be finite, got {x},{y}")
-        lo, hi = self.coords.min(axis=0), self.coords.max(axis=0)
+        lo, hi = self._box
         if math.dist(np.clip((x, y), lo, hi), (x, y)) > math.dist(lo, hi):
             raise DomainError(f"point {x},{y} lies too far outside the vertex "
                               "bounding box")
@@ -182,11 +193,8 @@ class MetricDomain:
     # -- validation and I/O -------------------------------------------------
 
     def validate(self):
+        self._by_id  # the one sort of the ids rejects an empty or repeating list
         n = self.n_vertices
-        if n == 0:
-            raise DomainError("domain has no vertices")
-        if len(np.unique(self.ids)) != n:
-            raise DomainError("vertex ids are not unique")
         if self.coords is not None and self.coords.shape != (n, 2):
             raise DomainError("coords must be an (n, 2) array")
         if not (len(self.edge_u) == len(self.edge_v) == len(self.edge_len)):
@@ -202,7 +210,7 @@ class MetricDomain:
             raise DomainError("self-loop edges are not allowed")
         if self.boundary_idx.size == 0:
             raise DomainError("domain needs at least one boundary vertex")
-        if np.intersect1d(self.boundary_idx, self.frontier_idx).size:
+        if (self.boundary_mask & self.frontier_mask).any():
             raise DomainError("boundary and frontier vertices overlap")
         # csr_matrix sums repeats: a listed-twice edge would count double
         if self.adjacency.nnz != 2 * self.n_edges:
@@ -288,16 +296,21 @@ def _reals(values, what):
 
 def _id_lookup(ids):
     """Map int64 id arrays to indices: one sort, then a binary search per id
-    (repeated ids fail validation).  The first unknown id is named."""
+    through the sort order, the one array the lookup keeps.  An empty or
+    repeating id list is rejected; the first unknown id is named."""
+    if len(ids) == 0:
+        raise DomainError("domain has no vertices")
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
+        raise DomainError("vertex ids are not unique")
 
     def lookup(vids, unknown_msg):
-        pos = np.minimum(np.searchsorted(sorted_ids, vids), len(ids) - 1)
-        unknown = sorted_ids[pos] != vids
+        rows = order[np.minimum(np.searchsorted(ids, vids, sorter=order), len(ids) - 1)]
+        unknown = ids[rows] != vids
         if unknown.any():
             raise DomainError(f"{unknown_msg} {vids[unknown.argmax()]}")
-        return order[pos]
+        return rows
     return lookup
 
 
@@ -341,13 +354,11 @@ def _from_columns(ids, coords, edge_u, edge_v, edge_len, boundary, frontier,
     """The checks both readers share, then the domain.  Ids, edge ends and
     markers are int64 arrays of vertex ids; ``coords`` holds the pairs of
     the vertices that carry one."""
-    if len(ids) == 0:
-        raise DomainError("domain has no vertices")
+    by_id = _id_lookup(ids)
     if type(meta) is not dict:
         raise DomainError(f"meta must be an object, not {type(meta).__name__}")
     if len(coords) not in (0, len(ids)):
         raise DomainError("either all vertices carry coordinates or none do")
-    by_id = _id_lookup(ids)
 
     def lookup(values):
         return by_id(values, "edge or marker refers to unknown vertex id")
@@ -512,31 +523,41 @@ def estimate_metric_constants(domain, bdry_field=None, n_pairs=400, seed=0):
 # -- generators --------------------------------------------------------------
 
 
-def _grid_edges(n_cols, n_rows, h, conn):
-    """Edge arrays of an n_cols x n_rows grid, vertex id = row*n_cols + col."""
-    if conn not in (4, 8):
-        raise DomainError(f"conn must be 4 or 8, got {conn}")
-    idx = np.arange(n_cols * n_rows, dtype=np.int64).reshape(n_rows, n_cols)
-    us = [idx[:, :-1].ravel(), idx[:-1, :].ravel()]
-    vs = [idx[:, 1:].ravel(), idx[1:, :].ravel()]
-    ws = [np.full(us[0].size, h), np.full(us[1].size, h)]
-    if conn == 8:
-        diag = h * math.sqrt(2.0)
-        us += [idx[:-1, :-1].ravel(), idx[:-1, 1:].ravel()]
-        vs += [idx[1:, 1:].ravel(), idx[1:, :-1].ravel()]
-        ws += [np.full(us[2].size, diag), np.full(us[3].size, diag)]
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
-
-
-def _steps(extent, h):
+def _axis(lo, hi, h):
+    """Grid coordinates from lo to hi in steps of the mesh size h."""
     if not (math.isfinite(h) and h > 0):
         raise DomainError(f"mesh size h must be positive and finite, got {h}")
+    extent = hi - lo
     if not (math.isfinite(extent) and extent >= 0):
         raise DomainError(f"extent {extent} must be finite and nonnegative")
     n = int(round(extent / h))
     if abs(n * h - extent) > 1e-9 * max(1.0, extent):
         raise DomainError(f"extent {extent} is not a multiple of the mesh size {h}")
-    return n
+    return np.linspace(lo, hi, n + 1)
+
+
+def _grid(xs, ys, h, conn, marks, meta):
+    """The domain on the grid ``xs`` x ``ys``, vertex id = row*len(xs) + col,
+    with edges of length h along rows and columns, and diagonals for conn=8.
+    ``marks(x, y)`` gives the boundary and frontier masks from the
+    coordinate columns."""
+    if conn not in (4, 8):
+        raise DomainError(f"conn must be 4 or 8, got {conn}")
+    coords = np.stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))], axis=1)
+    idx = np.arange(len(coords)).reshape(len(ys), len(xs))
+    edges = [(idx[:, :-1], idx[:, 1:], h), (idx[:-1, :], idx[1:, :], h)]
+    if conn == 8:
+        diag = h * math.sqrt(2.0)
+        edges += [(idx[:-1, :-1], idx[1:, 1:], diag), (idx[:-1, 1:], idx[1:, :-1], diag)]
+    boundary, frontier = marks(coords[:, 0], coords[:, 1])
+    return MetricDomain(
+        ids=idx.ravel(), coords=coords,
+        edge_u=np.concatenate([u.ravel() for u, _, _ in edges]),
+        edge_v=np.concatenate([v.ravel() for _, v, _ in edges]),
+        edge_len=np.concatenate([np.full(u.size, w) for u, _, w in edges]),
+        boundary_idx=np.nonzero(boundary)[0], frontier_idx=np.nonzero(frontier)[0],
+        meta={**meta, "h": h, "conn": conn},
+    )
 
 
 def half_plane(width=40.0, depth=40.0, h=0.1, conn=8):
@@ -545,22 +566,9 @@ def half_plane(width=40.0, depth=40.0, h=0.1, conn=8):
     Columns span ``[-width/2, width/2]``, rows ``[0, depth]``.  The bottom row
     is the boundary, the top row is the frontier (rays escape upward).
     """
-    n_cols = _steps(width, h) + 1
-    n_rows = _steps(depth, h) + 1
-    xs = np.linspace(-width / 2.0, width / 2.0, n_cols)
-    ys = np.linspace(0.0, depth, n_rows)
-    coords = np.stack(
-        [np.tile(xs, n_rows), np.repeat(ys, n_cols)], axis=1
-    )
-    eu, ev, ew = _grid_edges(n_cols, n_rows, h, conn)
-    n = n_cols * n_rows
-    return MetricDomain(
-        ids=np.arange(n), coords=coords, edge_u=eu, edge_v=ev, edge_len=ew,
-        boundary_idx=np.arange(n_cols),
-        frontier_idx=np.arange((n_rows - 1) * n_cols, n),
-        meta={"generator": "half_plane", "width": width, "depth": depth,
-              "h": h, "conn": conn},
-    )
+    return _grid(_axis(-width / 2.0, width / 2.0, h), _axis(0.0, depth, h), h, conn,
+                 lambda x, y: (y == 0.0, y == depth),
+                 {"generator": "half_plane", "width": width, "depth": depth})
 
 
 def strip(width=40.0, h=0.1, conn=8):
@@ -569,18 +577,9 @@ def strip(width=40.0, h=0.1, conn=8):
     Every vertex has distance at most 1 to the boundary, so a weight that is
     identically 1 up to distance 1 leaves this domain unchanged.
     """
-    n_cols = _steps(width, h) + 1
-    n_rows = _steps(1.0, h) + 1
-    xs = np.linspace(-width / 2.0, width / 2.0, n_cols)
-    ys = np.linspace(0.0, 1.0, n_rows)
-    coords = np.stack([np.tile(xs, n_rows), np.repeat(ys, n_cols)], axis=1)
-    eu, ev, ew = _grid_edges(n_cols, n_rows, h, conn)
-    n = n_cols * n_rows
-    return MetricDomain(
-        ids=np.arange(n), coords=coords, edge_u=eu, edge_v=ev, edge_len=ew,
-        boundary_idx=np.arange(n_cols), frontier_idx=np.arange(0),
-        meta={"generator": "strip", "width": width, "h": h, "conn": conn},
-    )
+    return _grid(_axis(-width / 2.0, width / 2.0, h), _axis(0.0, 1.0, h), h, conn,
+                 lambda x, y: (y == 0.0, np.zeros_like(y, dtype=bool)),
+                 {"generator": "strip", "width": width})
 
 
 def slit_plane(depth=10.0, h=0.1, conn=8):
@@ -592,24 +591,15 @@ def slit_plane(depth=10.0, h=0.1, conn=8):
     the origin, which reproduces the slit topology.  The frontier collects
     vertices whose straight-line distance to the slit is at least ``depth``.
     """
-    side = 4.0 * depth
-    n_side = _steps(side, h) + 1
-    xs = np.linspace(-2.0 * depth, 2.0 * depth, n_side)
-    coords = np.stack([np.tile(xs, n_side), np.repeat(xs, n_side)], axis=1)
-    eu, ev, ew = _grid_edges(n_side, n_side, h, conn)
-    x, y = coords[:, 0], coords[:, 1]
-    on_axis = np.abs(y) < h * 1e-9
-    boundary = np.nonzero(on_axis & (x >= -depth - h * 1e-9) & (x <= h * 1e-9))[0]
-    # straight-line distance to the slit segment
-    seg = np.where(x > 0, np.hypot(x, y), np.where(x < -depth, np.hypot(x + depth, y), np.abs(y)))
-    frontier = np.nonzero(seg >= depth - h * 1e-9)[0]
-    frontier = np.setdiff1d(frontier, boundary)
-    n = n_side * n_side
-    return MetricDomain(
-        ids=np.arange(n), coords=coords, edge_u=eu, edge_v=ev, edge_len=ew,
-        boundary_idx=boundary, frontier_idx=frontier,
-        meta={"generator": "slit_plane", "depth": depth, "h": h, "conn": conn},
-    )
+    def marks(x, y):
+        slit = (np.abs(y) < h * 1e-9) & (x >= -depth - h * 1e-9) & (x <= h * 1e-9)
+        # straight-line distance to the slit segment
+        seg = np.where(x > 0, np.hypot(x, y),
+                       np.where(x < -depth, np.hypot(x + depth, y), np.abs(y)))
+        return slit, (seg >= depth - h * 1e-9) & ~slit
+
+    xs = _axis(-2.0 * depth, 2.0 * depth, h)
+    return _grid(xs, xs, h, conn, marks, {"generator": "slit_plane", "depth": depth})
 
 
 _GENERATORS = {gen.__name__: gen for gen in (half_plane, strip, slit_plane)}

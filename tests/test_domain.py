@@ -1,5 +1,6 @@
 """Domain construction, shells, constants estimation, generators, I/O."""
 
+import hashlib
 import json
 import re
 
@@ -152,6 +153,37 @@ def test_nearest_vertex_tie_breaks_to_smallest_id():
         no_xy.nearest_vertex(0, 0)
 
 
+# sha256 of every array and the meta of each generated domain: any change to
+# what a generator builds, a bit of a coordinate included, shows here
+GENERATED = {
+    "half_plane:width=3,depth=2,h=0.1,conn=4":
+        "f5d2d27e1cb303025fdb6c171fd748f569959b6feb6646688b83df516d863392",
+    "half_plane:width=4,depth=3,h=0.5,conn=8":
+        "c49565ebccbf6ec652b43c98c0b928ee48351f5f92bbfc4dfcfddecdf9d7989c",
+    "strip:width=3,h=0.25,conn=4":
+        "480583ba693a1393212fd56676eb69cf1f5e58186d6e519002346f3c2ed48680",
+    "slit_plane:depth=1,h=0.25,conn=4":
+        "b775b6b8b2d4d3f46fadff49f9e6a0a9189267bf8c7e82bf7015e09ed3de4c86",
+    "slit_plane:depth=1.5,h=0.1,conn=8":
+        "cfda09dbdd7fc667d7b844b8914a90a26eebd21461542cb3627655131d71d56e",
+    "half_plane:width=20,depth=600,h=0.25,conn=8":  # AC5's tall half plane
+        "93d8e891ccb2835e32d4087157349114e325733a069e58c94a56169d0552adab",
+}
+
+
+@pytest.mark.parametrize("spec", GENERATED)
+def test_generated_arrays_are_pinned(spec):
+    d = generate_domain(spec)
+    digest = hashlib.sha256()
+    for name in ("ids", "coords", "edge_u", "edge_v", "edge_len", "boundary_idx",
+                 "frontier_idx"):
+        a = getattr(d, name)
+        digest.update(f"{name}:{a.dtype.str}:{a.shape}:".encode())
+        digest.update(a.tobytes())
+    digest.update(json.dumps(d.meta, sort_keys=True).encode())
+    assert digest.hexdigest() == GENERATED[spec]
+
+
 # -- distances and boundary transit -------------------------------------------
 
 
@@ -225,6 +257,19 @@ def test_validation_rejects_bad_data():
     for kw in bad:
         with pytest.raises(DomainError):
             MetricDomain(**kw)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_repeated_id_is_rejected_wherever_it_sorts(seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(40) * 7 - 90
+    first, second = rng.choice(40, size=2, replace=False)
+    ids[second] = ids[first]
+    d = path_domain(np.arange(40.0))
+    with pytest.raises(DomainError, match="vertex ids are not unique"):
+        MetricDomain(ids=ids, coords=None, edge_u=d.edge_u, edge_v=d.edge_v,
+                     edge_len=d.edge_len, boundary_idx=d.boundary_idx,
+                     frontier_idx=d.frontier_idx)
 
 
 @settings(max_examples=25, deadline=None)
@@ -455,6 +500,17 @@ def test_index_rejects_unknown_ids():
     for outside in (2**63, 2**70, -2**70):
         with pytest.raises(DomainError, match="does not fit in 64 bits"):
             d.index(outside)
+
+
+def test_index_takes_integers_only():
+    d = path_domain([0, 1, 2, 3])
+    assert d.index(np.int64(2)) == d.index(np.uint8(2)) == d.index(2) == 2
+    for bad in (1.5, "3", 2.0, np.float64(2.0), None):
+        with pytest.raises(DomainError, match=re.escape(
+                f"a vertex id must be an integer, got {bad!r}")):
+            d.index(bad)
+    with pytest.raises(DomainError, match="must be an integer, got 1.5"):
+        d.distance(1.5, 3)  # not the distance from id 1
 
 
 def test_from_dict_without_coords():

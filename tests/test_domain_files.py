@@ -143,6 +143,8 @@ CORPUS = [
     ("meta_non_ascii", _edit('"note": "', '"note": "é'), False, None),
     ("meta_nan", _edit('"h": 1E0', '"h": NaN'), True, None),
     ("unknown_id", _edit("[2, 3, 3]", "[2, 55, 3]"), True, "unknown vertex id 55"),
+    ("repeated_id", _edit('}],\n "edges"', '}, {"id": 1, "xy": [7, 7]}],\n "edges"'),
+     True, "vertex ids are not unique"),
     ("mixed_xy", _edit(', "xy": [2, 1e+1]', ""), True, "either all vertices"),
     ("no_vertices", '{"vertices": [], "edges": [], "boundary": []}', True,
      "domain has no vertices"),
