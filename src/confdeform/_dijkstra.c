@@ -134,16 +134,19 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     return settled;
 }
 
-/* Path target -> source into path; each step takes the smallest u with
- * dist[u] + w(u, v) == dist[v].  Returns the length, -1 when a vertex has
- * no such u, or -2 when the walk would exceed n vertices. */
+/* Walk from start down dist to the first vertex where it is 0, into path;
+ * each step takes the smallest u with dist[u] + w(u, v) == dist[v].  On a
+ * run from one root (positive weights) that vertex is the root; on a
+ * field from many, the walk is a shortest path from start to a nearest
+ * root.  Returns the length, -1 when a vertex has no such u, or -2 when
+ * the walk would exceed n vertices. */
 int32_t cd_walk(int32_t n, const int32_t *indptr, const int32_t *indices,
-                const double *data, const double *dist, int32_t source,
-                int32_t target, int64_t *path)
+                const double *data, const double *dist, int32_t start,
+                int64_t *path)
 {
-    int32_t len = 1, v = target;
+    int32_t len = 1, v = start;
     path[0] = v;
-    while (v != source) {
+    while (dist[v] != 0.0) {
         int32_t best = -1;
         for (int32_t j = indptr[v]; j < indptr[v + 1]; j++)
             if (dist[indices[j]] + data[j] == dist[v]

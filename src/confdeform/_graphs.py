@@ -44,7 +44,7 @@ def _load_kernel():
         return None
     i32, i64, f64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p]
-    kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, i32, p]
+    kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, p]
     kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p, p, p]
     kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
     kernel.cd_scan.restype = ctypes.c_int
@@ -157,39 +157,45 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None):
     return dist
 
 
-def extract_path(adj, dist, source, target):
-    """Vertex index sequence of a shortest path ``source -> target``.
-
-    ``dist`` must be the distance array of a run rooted at ``source`` on the
-    same matrix.  The walk goes backwards from ``target``, at each step taking
-    a neighbour u with ``dist[u] + w(u, v) == dist[v]`` (exact float equality,
-    which the relaxation parent always satisfies).  Ties break to the smallest
-    vertex index so the returned path does not depend on heap order.
-    """
-    source, target = int(source), int(target)
-    if not np.isfinite(dist[target]):
-        raise ValueError(f"vertex {target} is not reachable from {source}")
+def descend(adj, dist, start):
+    """Vertex indices from ``start`` down ``dist`` to the first vertex at 0, each
+    step to the least-index neighbour u with ``dist[u] + w(u, v) == dist[v]``
+    (exact: the relaxation parent satisfies it).  On a run's array that is the
+    root; on a :func:`min_distance_field`, a nearest source by a shortest path."""
+    start = int(start)
+    if not np.isfinite(dist[start]):
+        raise ValueError(f"vertex {start} has no finite distance to walk down")
     errors = {-1: "no optimal predecessor found; distance array does not "
                   "match the adjacency matrix",
               -2: "path extraction cycled; inconsistent distances"}
-    csr, n = _csr(adj, source, target), adj.shape[0]
+    csr, n = _csr(adj, start), adj.shape[0]
     if csr is not None:
         dist, path = np.ascontiguousarray(dist, float), np.empty(n, dtype=np.int64)
         if dist.shape != (n,):
             raise ValueError(f"distance array of shape {dist.shape} for {n} vertices")
-        k = _kernel.cd_walk(*csr, _ptr(dist, "f8"), source, target, _ptr(path, "i8"))
+        k = _kernel.cd_walk(*csr, _ptr(dist, "f8"), start, _ptr(path, "i8"))
         if k < 0:
             raise RuntimeError(errors[k])
-        return path[k - 1::-1].copy()
-    path = [target]
-    while path[-1] != source:
+        return path[:k].copy()
+    path = [start]
+    while dist[path[-1]] != 0:
         lo, hi = adj.indptr[path[-1]], adj.indptr[path[-1] + 1]
         nbrs = adj.indices[lo:hi]
         nbrs = nbrs[dist[nbrs] + adj.data[lo:hi] == dist[path[-1]]]
         if nbrs.size == 0 or len(path) == n:
             raise RuntimeError(errors[-1 if nbrs.size == 0 else -2])
         path.append(int(nbrs.min()))
-    return np.asarray(path[::-1], dtype=np.int64)
+    return np.asarray(path, dtype=np.int64)
+
+
+def extract_path(adj, dist, source, target):
+    """A shortest path ``source -> target``: :func:`descend` from ``target`` on
+    the array of a run rooted at ``source``, reversed; it must end there."""
+    path = descend(adj, dist, target)
+    if path[-1] != int(source):
+        raise RuntimeError(f"the walk ended at vertex {path[-1]}, "
+                           f"not at the source {source}")
+    return path[::-1].copy()
 
 
 _inner_lookup = getattr(csr_matrix, "_get_arrayXarray", None)  # private: may go

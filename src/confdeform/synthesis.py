@@ -11,6 +11,7 @@ candidate curve together with the constant it is predicted to satisfy:
   of depth 2**m0, then the deformed-metric geodesic;
 * to infinity: the deformed-metric shortest path to the frontier, prefixed
   for shallow starts by the base-metric escape up to a threshold shell.
+  Both escapes walk down frontier fields built once per domain: no Dijkstra run.
 
 The predicted constants come from the constants bundle; the measured
 constant of every produced curve is computed independently so predictions
@@ -74,10 +75,10 @@ def default_tolerance(dd, tolerance=None):
 def uniform_curve_d(dd, x, y):
     """Base-metric geodesic between two ids, as a dual-length curve.
 
-    This is the discrete stand-in for a uniform curve in the base metric:
-    graph geodesics are the best curves the discretisation offers, and their
-    measured uniformity constant feeds back into the bundle when it exceeds
-    the assumed one.
+    The constructions start from it, and its measured uniformity constant
+    feeds back into the bundle when it exceeds the assumed one.  It is not
+    a uniform curve: a graph geodesic between two points near the boundary
+    runs parallel to it, where a uniform curve bows away from it.
     """
     domain = dd.domain
     ix, iy = domain.index(x), domain.index(y)
@@ -90,16 +91,18 @@ def uniform_curve_d(dd, x, y):
 
 
 def _geodesic_to_frontier(dd, start_idx, deformed):
-    """Geodesic curve from a vertex index to the nearest frontier vertex in
-    the deformed metric, or in the base metric."""
-    view = dd.view if deformed else dd.domain.view
-    fr = dd.domain.frontier_idx
-    dist, total = view.nearest(start_idx, fr)
-    if not np.isfinite(total):
+    """Geodesic curve from a vertex index to a nearest frontier vertex in the
+    deformed metric, or in the base metric: the walk down that metric's cached
+    frontier field.  Its length there is the fold of its steps from the start,
+    as a run from the start sums it (the field sums from the frontier end)."""
+    view, field = ((dd.view, dd.frontier_field_phi) if deformed
+                   else (dd.domain.view, dd.domain.frontier_field))
+    if not np.isfinite(field[start_idx]):
         raise SynthesisError("frontier unreachable from the start vertex")
-    best = int(fr[int(np.argmin(dist[fr]))])
-    path = _graphs.extract_path(view.full, dist, start_idx, best)
-    return Curve.from_indices(dd, path, *((None, total) if deformed else (total, None)))
+    curve = Curve.from_indices(dd, _graphs.descend(view.full, field, start_idx))
+    fold = float(np.cumsum(curve.incr_phi if deformed else curve.incr_d)[-1])
+    totals = (curve.total_d, fold) if deformed else (fold, curve.total_phi)
+    return Curve(dd, curve.vertices, curve.incr_d, curve.incr_phi, *totals)
 
 
 def _maybe_rebundle(dd, bundle, base_curve, notes):
@@ -107,9 +110,10 @@ def _maybe_rebundle(dd, bundle, base_curve, notes):
 
     The predictions are functions of the true uniformity constant, so an
     observed constant above the assumed one invalidates them; the bundle is
-    rebuilt with the observed value.
+    rebuilt with the observed value.  A geodesic's length is the distance
+    between its ends, so the measurement makes no query.
     """
-    measured_cu = uniformity_constant(base_curve, "d")
+    measured_cu = uniformity_constant(base_curve, "d", base_curve.total_d)
     if measured_cu > bundle.cu:
         notes["rebundled_cu"] = measured_cu
         return derive_constants(dd.weight, measured_cu, bundle.cq)
@@ -222,14 +226,13 @@ def _synthesize_to_infinity(dd, bundle, x):
             "entirely outside the sampled window"
         )
     m = int(dd.field.shells[ix])
-    estimate = dd.dist_to_infinity(x)
     notes = {"shells": [m]}
 
     def result(case, predicted, curve, splice_ids=()):
         """Mark the curve as ending at infinity, measure it and wrap it."""
         curve = Curve(dd, curve.vertices, curve.incr_d, curve.incr_phi,
                       curve.total_d, curve.total_phi, to_infinity=True,
-                      estimate=estimate)
+                      estimate=dd.dist_to_infinity(x))
         return SynthesisResult(curve=curve, case=case, predicted=predicted,
                                measured=uniformity_constant(curve, "phi"),
                                x=int(x), y=None, splice_ids=list(splice_ids),
@@ -293,13 +296,7 @@ def stratified_pick(groups, rng, count, start=0):
     until ``count`` vertex indices are drawn."""
     if not groups:
         raise SynthesisError("no interior vertices in the requested shells")
-    picks = []
-    gi = start
-    while len(picks) < count:
-        _, members = groups[gi % len(groups)]
-        picks.append(int(rng.choice(members)))
-        gi += 1
-    return picks
+    return [int(rng.choice(groups[(start + i) % len(groups)][1])) for i in range(count)]
 
 
 def predicted_vs_measured(dd, bundle, n_pairs=200, n_to_infinity=0, seed=0,

@@ -86,6 +86,23 @@ def test_extract_path_unreachable():
         _graphs.extract_path(adj, dist, 0, 2)
 
 
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "scipy"])
+def test_extract_path_rejects_a_walk_ending_off_the_source(kernel, monkeypatch):
+    if not kernel:
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    adj = _diamond()
+    # the walk back from 3 reaches 0, the zero of a run rooted there
+    dist = _graphs.distances_from(adj, 0)
+    with pytest.raises(RuntimeError, match="ended at vertex 0, not at the source 1"):
+        _graphs.extract_path(adj, dist, 1, 3)
+    # a field from two roots: the walk from 2 ends at the nearer one, 0
+    field = _graphs.min_distance_field(adj, [0, 3])
+    assert _graphs.descend(adj, field, 2).tolist() == [2, 1, 0]
+    with pytest.raises(RuntimeError, match="not at the source 3"):
+        _graphs.extract_path(adj, field, 3, 2)
+    assert _graphs.extract_path(adj, field, 0, 2).tolist() == [0, 1, 2]
+
+
 def test_kernel_loaded():
     # the C library builds on import wherever a compiler is present; without
     # it every run would quietly fall back to scipy, every load to json.load

@@ -8,7 +8,7 @@ import pytest
 from confdeform import _graphs, synthesis
 from confdeform.deform import deform
 from confdeform.domain import (
-    MetricDomain, estimate_metric_constants, half_plane, slit_plane,
+    MetricDomain, estimate_metric_constants, generate_domain, half_plane, slit_plane,
 )
 from confdeform.synthesis import (
     CASE_TAGS,
@@ -311,26 +311,95 @@ def test_threshold_shell_skips_shells_unreachable_past_a_wall(monkeypatch):
     assert res.curve.vertex_ids == list(range(1, 14))
 
 
-def test_shallow_escape_runs_three_bounded_dijkstras(monkeypatch):
+def test_escapes_run_only_the_threshold_search(monkeypatch):
     domain = _tall()
     dd = deform(domain, W2)
     bundle = derive_constants(W2, cu=1.0, cq=1.0)
-    dd.adjacency_phi_interior, dd.frontier_field_phi, domain.adjacency_interior
+    # the fields escapes read, each built by one sweep per domain
+    dd.frontier_field_phi, dd.boundary_field_phi, domain.frontier_field
     runs = []
-    real = _graphs.distances_from
+    real = _graphs._distances
 
-    def recorded(adj, source, limit=np.inf, stop=None, into=None):
-        runs.append((limit, stop is not None))
-        return real(adj, source, limit, stop, into)
+    def recorded(adj, roots, limit=np.inf, stop=None, into=None):
+        runs.append(limit)
+        return real(adj, roots, limit, stop, into)
 
-    monkeypatch.setattr(_graphs, "distances_from", recorded)
+    monkeypatch.setattr(_graphs, "_distances", recorded)
     x = domain.vertex_id(np.flatnonzero(dd.field.values == 1.0)[1])
     res = synthesize(dd, bundle, x, to_infinity=True)
     assert res.case == "to_infinity_shallow"
     assert res.curve.start_id == x != res.splice_ids[0] != res.curve.end_id
-    # base escape, the search bounded at the threshold, deformed escape
-    assert runs == [(np.inf, True), (bundle.t_small * bundle.lam, False),
-                    (np.inf, True)]
+    # both escapes walk their frontier fields: the one run is the search
+    # bounded at the threshold
+    assert runs == [bundle.t_small * bundle.lam]
+    deep = np.flatnonzero((dd.field.shells >= bundle.m0) & ~domain.frontier_mask)
+    res = synthesize(dd, bundle, domain.vertex_id(deep[0]), to_infinity=True)
+    assert res.case == "to_infinity_deep"
+    assert runs == [bundle.t_small * bundle.lam]
+
+
+def _stopped_run_escape(dd, ix, deformed):
+    """The oracle: (path, distance) of the escape from a run from ``ix``
+    stopped at the frontier, walked back from its least-index nearest
+    frontier vertex."""
+    view = dd.view if deformed else dd.domain.view
+    fr = dd.domain.frontier_idx
+    dist, total = view.nearest(ix, fr)
+    best = int(fr[int(np.argmin(dist[fr]))])
+    return _graphs.extract_path(view.full, dist, ix, best), total
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scipy"])
+@pytest.mark.parametrize("spec", [
+    "half_plane:width=6,depth=8,h=0.25,conn=4",
+    "half_plane:width=6,depth=8,h=0.25,conn=8",
+    "slit_plane:depth=4,h=0.25,conn=8",
+])
+def test_escape_walk_matches_stopped_run(spec, engine, monkeypatch):
+    if engine == "scipy":
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    domain = generate_domain(spec)  # its fields built by this engine
+    dd = deform(domain, W2)
+    starts = np.flatnonzero(~domain.boundary_mask & ~domain.frontier_mask)[::9]
+    for deformed in (False, True):
+        for ix in starts:
+            curve = synthesis._geodesic_to_frontier(dd, ix, deformed)
+            path, total = _stopped_run_escape(dd, ix, deformed)
+            walked = curve.total_phi if deformed else curve.total_d
+            if spec.startswith("half_plane"):
+                assert curve.vertices.tolist() == path.tolist()
+                assert walked == total
+            else:
+                # ties may fall to another shortest path of as many steps
+                assert curve.vertices[-1] == path[-1] and len(curve) == len(path)
+                assert abs(walked - total) <= 4 * np.spacing(total)
+
+
+def pocketed_ray():
+    """The ray of the ``ray`` fixture with a pocket on its foot: ids 16
+    (height 0.4) and 17 (height 256) hang from the boundary vertex 0,
+    which no interior path may enter, so the frontier is out of their reach."""
+    heights = [0.0, 0.4, 0.4002, 1.0] + [float(2 ** k) for k in range(1, 13)]
+    n = len(heights)
+    return MetricDomain(
+        ids=np.arange(n + 2), coords=None,
+        edge_u=np.r_[np.arange(n - 1), 0, n], edge_v=np.r_[np.arange(1, n), n, n + 1],
+        edge_len=np.r_[np.diff(heights), 0.4, 255.6],
+        boundary_idx=np.array([0]), frontier_idx=np.array([n - 1]),
+    )
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scipy"])
+def test_escape_from_a_walled_pocket_is_refused(engine, monkeypatch):
+    if engine == "scipy":
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    dd = deform(pocketed_ray(), W2)
+    bundle = derive_constants(W2, cu=1.0, cq=1.0)
+    # a shallow start (base escape first) and a deep one (deformed escape)
+    assert dd.field.shells[16] < bundle.m0 <= dd.field.shells[17]
+    for x in (16, 17):
+        with pytest.raises(SynthesisError, match="frontier unreachable from the start"):
+            synthesize(dd, bundle, x, to_infinity=True)
 
 
 # -- splicing on a canyon --------------------------------------------------------------
