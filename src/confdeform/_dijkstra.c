@@ -6,6 +6,17 @@
  * bitwise equal to scipy.sparse.csgraph.dijkstra on the same matrix.
  * Weights must not be negative (the package's lengths are positive): the
  * relaxation trusts that a settled vertex never improves.
+ *
+ * A run may carry a goal potential h (A*: Hart, Nilsson and Raphael, 1968;
+ * landmark differences: Goldberg and Harrelson, 2005).  The heap key is then
+ * g + h(v) while dist keeps g, with
+ *     h(v) = (1 - 2^-10) max(|field[v] - field_t|, kappa |xy[v] - xy_t|).
+ * A 1-Lipschitz field and kappa at most every edge's length over its chord
+ * make h consistent; the shrink leaves each edge a margin of 2^-10 w, far
+ * above the few ulps the floats put into h and into the keys, so each
+ * vertex a run settles gets the same fixed-point value, and every vertex on
+ * a shortest or tied path to the goal has a key below the stop value c.
+ * A null field and null xy give h = 0: the plain run, bit for bit.
  * Build with -O2 and without -ffast-math: the sums must round as numpy's.
  */
 #include <math.h>
@@ -63,11 +74,53 @@ static inline int32_t member(const int32_t *slot, int32_t n_stop,
     return k < (uint32_t)n_stop && stop[k] == v ? (int32_t)k : -1;
 }
 
+/* The goal of a run: h(v) of the header, 0 without a field and xy. */
+typedef struct {
+    const double *field, *xy;
+    double field_t, x_t, y_t, kappa;
+} goal;
+
+/* The NaN of inf - inf (v and the goal both out of the field's reach) fails
+ * the > test, which leaves h at most the distance. */
+static inline double potential(const goal *g, int32_t v)
+{
+    double h = 0.0, a;
+    if (g->field && (a = fabs(g->field[v] - g->field_t)) > h)
+        h = a;
+    if (g->xy) {
+        double dx = g->xy[2 * v] - g->x_t, dy = g->xy[2 * v + 1] - g->y_t;
+        if ((a = g->kappa * sqrt(dx * dx + dy * dy)) > h)
+            h = a;
+    }
+    return (1.0 - 0x1p-10) * h;
+}
+
+/* The least w / |xy[u] - xy[v]| over the entries (u, v, w) whose ends have
+ * distinct coordinates, or 0 when there is none: kappa |xy[u] - xy[v]| is
+ * then at most the distance from u to v, whatever path joins them. */
+double cd_kappa(int32_t n, const int32_t *indptr, const int32_t *indices,
+                const double *data, const double *xy)
+{
+    double kappa = INFINITY;
+    for (int32_t u = 0; u < n; u++)
+        for (int32_t j = indptr[u]; j < indptr[u + 1]; j++) {
+            double dx = xy[2 * u] - xy[2 * indices[j]];
+            double dy = xy[2 * u + 1] - xy[2 * indices[j] + 1];
+            double chord = sqrt(dx * dx + dy * dy);
+            if (chord > 0 && data[j] / chord < kappa)
+                kappa = data[j] / chord;
+        }
+    return kappa < INFINITY ? kappa : 0.0;
+}
+
 /* Distances from the nearest of the n_root roots into dist (all inf on
  * entry); every root starts at 0.  An edge relaxes only when
- * dist[u] + w <= limit.  The run stops once the heap minimum exceeds
- * c = min(dist[v] + offset) over the stop members settled so far; every
- * vertex it did not settle then reads inf, so dist is that of limit = c.
+ * dist[u] + w <= limit.  The heap key is dist[v] + h(v), h the potential
+ * toward vertex t, or toward the zeros of field for t < 0 (field may be
+ * null; xy is read only for t >= 0 and kappa > 0).  The run stops once the
+ * least key exceeds c = min(dist[v] + offset) over the stop members settled
+ * so far; every vertex it did not settle then reads inf, so without a goal
+ * dist is that of limit = c.
  * The first n_order vertices it settles go to order, in settling order.
  * Returns the number of vertices settled, or -1 when out of memory.
  * No n-sized array is cleared, so a run costs what it touches: pos[u] is
@@ -77,12 +130,18 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
                     const double *data, int32_t n_root, const int32_t *roots,
                     double limit, int32_t n_stop, const int32_t *stop,
                     const double *offset, double *dist, int32_t n_order,
-                    int32_t *order)
+                    int32_t *order, const double *field, const double *xy,
+                    int32_t t, double kappa)
 {
     int32_t *pos = malloc(n * sizeof *pos), *slot = malloc(n * sizeof *slot);
     entry *heap = malloc(n * sizeof *heap);
     int32_t size = 0, settled = 0;
     double c = INFINITY;
+    goal to = {field, t >= 0 && kappa > 0 ? xy : NULL, 0.0, 0.0, 0.0, kappa};
+    if (t >= 0 && field)
+        to.field_t = field[t];
+    if (to.xy)
+        to.x_t = xy[2 * t], to.y_t = xy[2 * t + 1];
     if (!pos || !slot || !heap) {
         free(pos), free(slot), free(heap);
         return -1;
@@ -95,10 +154,11 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     for (int32_t k = 0; k < n_root; k++)
         if (dist[roots[k]] == INFINITY) {  /* equal keys: each push stays */
             dist[roots[k]] = 0.0;
-            sift_up(heap, pos, size++, (entry){0.0, roots[k]});
+            sift_up(heap, pos, size++, (entry){potential(&to, roots[k]), roots[k]});
         }
     while (size > 0 && !(heap[0].key > c)) {
         entry top = heap[0];
+        double g = dist[top.v];
         pos[top.v] = -1;
         if (settled < n_order)
             order[settled] = top.v;
@@ -113,19 +173,20 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
             __builtin_prefetch(data + j + 8);
         }
         int32_t m = member(slot, n_stop, stop, top.v);
-        if (m >= 0 && top.key + offset[m] < c)
-            c = top.key + offset[m];
+        if (m >= 0 && g + offset[m] < c)
+            c = g + offset[m];
         for (int32_t j = indptr[top.v]; j < indptr[top.v + 1]; j++) {
             int32_t u = indices[j];
-            double d = top.key + data[j];
-            /* a settled u has dist[u] <= top.key <= d, so no pos test;
-             * a finite dist[u] means this run pushed u, and the > 0
-             * keeps the heap in bounds even for a negative w */
+            double d = g + data[j];
+            /* a settled u has dist[u] <= d (with a goal, by the margin of
+             * the potential), so no pos test; a finite dist[u] means this
+             * run pushed u, and the > 0 keeps the heap in bounds even for
+             * a negative w */
             if (!(d < dist[u]) || !(d <= limit))
                 continue;
             int32_t k = dist[u] < INFINITY && pos[u] > 0 ? pos[u] - 1 : size++;
             dist[u] = d;
-            sift_up(heap, pos, k, (entry){d, u});
+            sift_up(heap, pos, k, (entry){d + potential(&to, u), u});
         }
     }
     for (int32_t k = 0; k < size; k++)  /* tentative values of a stopped run */

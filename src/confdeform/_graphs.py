@@ -25,7 +25,7 @@ def _load_kernel():
     of the sources into the package directory (a build removes the libraries
     of other hashes), or None (with one warning) where it cannot be."""
     sources = [Path(__file__).with_name(name) for name in ("_dijkstra.c", "_scan.c")]
-    flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+    flags = ["-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC"]
     try:
         key = hashlib.sha256(b"".join(src.read_bytes() for src in sources)
                              + str(flags).encode()).hexdigest()
@@ -43,7 +43,9 @@ def _load_kernel():
             "C kernel unavailable, using scipy and json.load: %s", exc)
         return None
     i32, i64, f64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p]
+    kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p,
+                                   p, p, i32, f64]
+    kernel.cd_kappa.argtypes, kernel.cd_kappa.restype = [i32, p, p, p, p], f64
     kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, p]
     kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p, p, p]
     kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
@@ -54,11 +56,11 @@ def _load_kernel():
 _kernel = _load_kernel()
 
 
-def _ptr(arr, dtype):
-    """The address of ``arr``, a C-contiguous array of ``dtype`` (or a
-    TypeError), for a call during which the caller holds ``arr``."""
-    if arr.dtype != dtype or not arr.flags.c_contiguous:
-        raise TypeError(f"the kernel takes C-contiguous {np.dtype(dtype)} arrays")
+def _ptr(arr, dtype, size=0):
+    """The address of ``arr``, a C-contiguous ``dtype`` array of at least ``size``
+    entries (or a TypeError), for a call during which the caller holds ``arr``."""
+    if arr.dtype != dtype or not arr.flags.c_contiguous or arr.size < size:
+        raise TypeError(f"the kernel takes big enough C-contiguous {np.dtype(dtype)} arrays")
     return arr.ctypes.data
 
 
@@ -86,14 +88,15 @@ def build_adjacency(n_vertices, edge_u, edge_v, edge_len):
     return csr_matrix((vals, (rows, cols)), shape=(n_vertices, n_vertices))
 
 
-def distances_from(adj, source, limit=np.inf, stop=None, into=None):
+def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None):
     """Single-source distances; unreached vertices get ``inf``.  ``stop``,
     (members, offsets), ends the run once the heap minimum exceeds
     ``c = min(dist[members] + offsets)``: the array is then that of
-    ``limit=c``.  ``into``, a :class:`RunBuffer`, takes the distances in
-    place of a new array.  scipy, run where the kernel cannot, ignores
-    ``stop`` and ``into``."""
-    return _distances(adj, np.array([source]), limit, stop, into)
+    ``limit=c``, or steered by ``goal`` ((field, coords, t, kappa) of
+    ``_dijkstra.c``), exact where it settled.  ``into``, a :class:`RunBuffer`,
+    takes the distances in place of a new array.  scipy, run where the
+    kernel cannot, ignores ``stop``, ``into`` and ``goal``."""
+    return _distances(adj, np.array([source]), limit, stop, into, goal)
 
 
 def min_distance_field(adj, sources):
@@ -134,11 +137,12 @@ class RunBuffer:
 _NO_ORDER = np.empty(0, dtype=np.int32)
 
 
-def _distances(adj, roots, limit=np.inf, stop=None, into=None):
+def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None):
     """Distances from the nearest of ``roots``, each starting at 0, through
     the kernel, or scipy where it cannot run (see :func:`distances_from`)."""
     members, offsets = (np.empty(0), 0.0) if stop is None else stop
-    csr = _csr(adj, roots, members)
+    field, xy, target, kappa = goal or (None, None, -1, 0.0)
+    csr = _csr(adj, roots, members, max(target, 0))  # -1: the field's zeros
     if csr is None:
         return dijkstra(adj, directed=True, indices=roots, limit=limit,
                         min_only=True)
@@ -149,7 +153,9 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None):
                    else (into.dist, into.order))
     settled = _kernel.cd_dijkstra(
         *csr, len(roots), _ptr(roots, "i4"), limit, len(members), _ptr(members, "i4"),
-        _ptr(offsets, "f8"), _ptr(dist, "f8"), len(order), _ptr(order, "i4"))
+        _ptr(offsets, "f8"), _ptr(dist, "f8"), len(order), _ptr(order, "i4"),
+        *(None if a is None else _ptr(a, "f8", k * csr[0]) for a, k in ((field, 1), (xy, 2))),
+        target, kappa)
     if settled < 0:
         raise MemoryError("no memory for a Dijkstra run")
     if into is not None:
@@ -261,12 +267,13 @@ def drop_incident_edges(adj, blocked):
 class MetricView:
     """Queries through the open domain under one edge-length assignment.
 
-    Holds the full CSR and the domain's one boundary mask; the interior CSR
-    is the full one with its entries into boundary vertices masked out
-    (:func:`drop_incident_edges`).  A pair query is one run from the smaller
-    index on the directed matrix, stopped at the target's value: the least
-    ``dist[u] + w(u, t)`` over its neighbours in the full CSR (where other
-    boundary vertices hold ``inf``), for interior and boundary targets
+    Holds the full CSR, the domain's boundary mask, frontier and coordinates
+    (or None), never the domain; the interior CSR is the full one with its
+    entries into boundary vertices masked out (:func:`drop_incident_edges`).
+    A pair query is one run from the smaller index on the directed matrix,
+    steered toward the target (:meth:`_goal`) and stopped at its value: the
+    least ``dist[u] + w(u, t)`` over its neighbours in the full CSR (where
+    other boundary vertices hold ``inf``), for interior and boundary targets
     alike; paths are extracted there too.  Pair answers and the latest run
     are kept, no array per root (5 MB each at 641k vertices).
 
@@ -280,15 +287,43 @@ class MetricView:
 
     MEMO_SIZE = 256
 
-    def __init__(self, full, boundary_mask):
+    def __init__(self, full, boundary_mask, frontier_idx=(), coords=None):
         self.full = full
         self.boundary_mask = boundary_mask
+        self.frontier_idx = np.asarray(frontier_idx, dtype=np.int64)
+        self.coords = None if coords is None else np.ascontiguousarray(coords, float)
         self._memo = {}  # (root, other) -> distance, oldest first
-        self._last = None  # (root, radius up to which it is exact, dist)
+        self._last = None  # (root, goal, radius up to which it is exact, dist)
+        self._steers = {}  # field name -> whether its potential may steer
 
     @cached_property
     def interior(self):
         return drop_incident_edges(self.full, self.boundary_mask)
+
+    @cached_property
+    def boundary_field(self):  # through the boundary is never shorter
+        return min_distance_field(self.full, np.flatnonzero(self.boundary_mask))
+
+    @cached_property
+    def frontier_field(self):
+        return min_distance_field(self.interior, self.frontier_idx)
+
+    @cached_property
+    def _kappa(self):
+        """``cd_kappa`` of the coordinates; 0 without them or the kernel."""
+        csr = self.coords is not None and _csr(self.full)
+        return _kernel.cd_kappa(*csr, _ptr(self.coords, "f8", 2 * csr[0])) if csr else 0.0
+
+    def _goal(self, name, target):
+        """The kernel's goal toward vertex ``target`` (-1: the field's zeros)
+        by the field ``name`` and the coordinates; None where the least edge
+        is below 2**-30 of the field's largest finite value (the margin of
+        2**-10 per edge must dwarf the rounding of the keys)."""
+        field = getattr(self, name)
+        if name not in self._steers:
+            top = np.max(field, initial=0.0, where=np.isfinite(field))
+            self._steers[name] = np.min(self.full.data, initial=np.inf) >= 2.0 ** -30 * top
+        return (field, self.coords, target, self._kappa) if self._steers[name] else None
 
     @cached_property
     def _buffer(self):
@@ -297,27 +332,28 @@ class MetricView:
     def run(self, root, limit=np.inf):
         """Distances from ``root`` on the interior matrix, up to ``limit``,
         in a new array the caller owns."""
-        self._last = (int(root), limit, distances_from(self.interior, root, limit))
-        return self._last[2]
+        self._last = (int(root), None, limit, distances_from(self.interior, root, limit))
+        return self._last[3]
 
-    def nearest(self, root, members, offsets=0.0):
-        """(dist, c) of a run from ``root`` stopped at the least
-        ``c = dist[m] + offset`` over the members; ``dist`` is exact up to
-        ``c`` (``inf`` when no member is reached).  The latest run answers
-        when it is exact that far.  ``dist`` may be the view's buffer: it
-        is valid until the view's next run, and is not to be written."""
+    def nearest(self, root, members, offsets=0.0, goal=None):
+        """(dist, c) of a run from ``root`` stopped at the least ``c = dist[m]
+        + offset`` over the members, exact up to ``c`` (``inf`` when no member
+        is reached), or steered by ``goal`` (:meth:`_goal`'s arguments), exact
+        where it settled; the latest run answers when it is exact that far or
+        has the same root and goal.  ``dist`` may be the view's buffer: valid
+        until the view's next run, and not to be written."""
         root, last = int(root), self._last
         if last is not None and last[0] == root:
-            c = float(np.min(last[2][members] + offsets, initial=np.inf))
-            if c <= last[1]:
-                return last[2], c
-        buf = self._buffer
+            c = float(np.min(last[3][members] + offsets, initial=np.inf))
+            if c <= last[2] or (goal is not None and goal == last[1]):
+                return last[3], c
+        steer = goal and self._goal(*goal)
+        stop, buf = (members, offsets), self._buffer
         buf.dist[buf.order[:buf.settled]] = np.inf
         buf.settled = 0
-        dist = distances_from(self.interior, root, stop=(members, offsets),
-                              into=buf)
+        dist = distances_from(self.interior, root, stop=stop, into=buf, goal=steer)
         c = float(np.min(dist[members] + offsets, initial=np.inf))
-        self._last = (root, c, dist)
+        self._last = (root, goal, -np.inf if steer else c, dist)
         if buf.settled > buf.order.size:
             buf.renew()
         return dist, c
@@ -348,10 +384,11 @@ class MetricView:
 
     def _reach(self, ia, ib):
         """(root, other, dist, value) of the run from the smaller index
-        stopped at the other one."""
+        stopped at, and steered toward, the other one."""
         root, other = min(int(ia), int(ib)), max(int(ia), int(ib))
         row = slice(self.full.indptr[other], self.full.indptr[other + 1])
-        dist, value = self.nearest(root, self.full.indices[row], self.full.data[row])
+        dist, value = self.nearest(root, self.full.indices[row], self.full.data[row],
+                                   ("boundary_field", other))
         self._memo[(root, other)] = value
         if len(self._memo) > self.MEMO_SIZE:
             del self._memo[next(iter(self._memo))]

@@ -102,15 +102,11 @@ class DeformedDomain:
         """Deformed-metric view: pair queries, rooted runs and geodesics."""
         return _graphs.MetricView(_graphs.build_adjacency(
             self.domain.n_vertices, self.domain.edge_u, self.domain.edge_v,
-            self.edge_len_phi), self.domain.boundary_mask)
+            self.edge_len_phi), self.domain.boundary_mask, self.domain.frontier_idx,
+            self.domain.coords)
 
-    @property
-    def adjacency_phi(self):
-        return self.view.full
-
-    @property
-    def adjacency_phi_interior(self):
-        return self.view.interior
+    adjacency_phi = property(lambda self: self.view.full)
+    adjacency_phi_interior = property(lambda self: self.view.interior)
 
     # -- distance and geodesic queries ----------------------------------------
 
@@ -141,24 +137,15 @@ class DeformedDomain:
 
     # -- cached distance fields ------------------------------------------------
 
-    @cached_property
-    def boundary_field_phi(self):
-        """Deformed distance to the boundary, per vertex.
+    # deformed distance to the boundary, on the full graph
+    boundary_field_phi = property(lambda self: self.view.boundary_field)
 
-        Computed on the full graph: a path through one boundary vertex on
-        the way to another is never shorter than stopping at the first, so
-        the minimum is unaffected by transit.
-        """
-        return _graphs.min_distance_field(self.adjacency_phi,
-                                          self.domain.boundary_idx)
-
-    @cached_property
+    @property
     def frontier_field_phi(self):
         """Deformed distance to the nearest frontier vertex (interior view)."""
         if self.domain.frontier_idx.size == 0:
             raise DeformError("domain has no frontier")
-        return _graphs.min_distance_field(self.adjacency_phi_interior,
-                                          self.domain.frontier_idx)
+        return self.view.frontier_field
 
     # -- the point at infinity ---------------------------------------------------
 
@@ -189,11 +176,11 @@ class DeformedDomain:
         """Certified interval around the deformed distance to infinity: D, the
         computed deformed distance to the frontier ring, plus the escape
         bracket of :meth:`infinity_interval`."""
-        ix = self.domain.index(x)
+        ix, view = self.domain.index(x), self.view
         if self.domain.frontier_idx.size == 0:
             raise DeformError("domain has no frontier; nothing escapes to infinity")
-        if self.view.boundary_mask[ix]:
-            big_d = self.view.nearest(ix, self.domain.frontier_idx)[1]
+        if view.boundary_mask[ix]:  # steered by an exact potential
+            big_d = view.nearest(ix, view.frontier_idx, 0.0, ("frontier_field", -1))[1]
         else:
             big_d = float(self.frontier_field_phi[ix])
         if not math.isfinite(big_d):

@@ -157,7 +157,7 @@ class MetricDomain:
         """Base-metric view: pair queries, rooted runs and geodesics."""
         return _graphs.MetricView(_graphs.build_adjacency(
             self.n_vertices, self.edge_u, self.edge_v, self.edge_len),
-            self.boundary_mask)
+            self.boundary_mask, self.frontier_idx, self.coords)
 
     @property
     def adjacency(self):
@@ -177,10 +177,10 @@ class MetricDomain:
         metrics share it); each boundary vertex is a component of its own."""
         return connected_components(self.adjacency_interior, connection="strong")[1]
 
-    @cached_property
+    @property
     def frontier_field(self):
         """Base twin of ``DeformedDomain.frontier_field_phi`` (interior matrix)."""
-        return _graphs.min_distance_field(self.adjacency_interior, self.frontier_idx)
+        return self.view.frontier_field
 
     def distance(self, x, y):
         """Graph distance between two ids through the open domain.
@@ -299,9 +299,10 @@ def _reals(values, what):
         raise DomainError(f"{what} does not fit in a double") from None
 
 
-def _id_lookup(ids):
+def _id_lookup(ids, bulk=False):
     """Map int64 id arrays to indices: one sort, then a binary search per id
-    through the sort order, the one array the lookup keeps.  An empty or
+    through the sort order, the one array the lookup keeps (``bulk``: through
+    the sorted ids, one random read per probe, not two).  An empty or
     repeating id list is rejected; the first unknown id is named."""
     if len(ids) == 0:
         raise DomainError("domain has no vertices")
@@ -309,9 +310,10 @@ def _id_lookup(ids):
     sorted_ids = ids[order]
     if (sorted_ids[1:] == sorted_ids[:-1]).any():
         raise DomainError("vertex ids are not unique")
+    keys, sorter = (sorted_ids, None) if bulk else (ids, order)
 
     def lookup(vids, unknown_msg):
-        rows = order[np.minimum(np.searchsorted(ids, vids, sorter=order), len(ids) - 1)]
+        rows = order[np.minimum(np.searchsorted(keys, vids, sorter=sorter), len(ids) - 1)]
         unknown = ids[rows] != vids
         if unknown.any():
             raise DomainError(f"{unknown_msg} {vids[unknown.argmax()]}")
@@ -359,7 +361,7 @@ def _from_columns(ids, coords, edge_u, edge_v, edge_len, boundary, frontier,
     """The checks both readers share, then the domain.  Ids, edge ends and
     markers are int64 arrays of vertex ids; ``coords`` holds the pairs of
     the vertices that carry one."""
-    by_id = _id_lookup(ids)
+    by_id = _id_lookup(ids, bulk=True)  # dropped with this call
     if type(meta) is not dict:
         raise DomainError(f"meta must be an object, not {type(meta).__name__}")
     if len(coords) not in (0, len(ids)):
@@ -445,13 +447,13 @@ class BoundaryDistanceField:
 
 
 def boundary_distance(domain):
-    """Compute the distance-to-boundary field on the full graph.
+    """The distance-to-boundary field: the base view's ``boundary_field``.
 
     Travelling through one boundary vertex on the way to another cannot beat
     the direct distance to the first, so the full graph gives the right
     minimum even though interior curves avoid the boundary.
     """
-    values = _graphs.min_distance_field(domain.adjacency, domain.boundary_idx)
+    values = domain.view.boundary_field
     if not np.isfinite(values).all():
         raise DomainError("some vertices cannot reach the boundary")
     return BoundaryDistanceField(values=values, shells=shell_index(values))

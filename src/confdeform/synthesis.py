@@ -95,11 +95,10 @@ def _geodesic_to_frontier(dd, start_idx, deformed):
     deformed metric, or in the base metric: the walk down that metric's cached
     frontier field.  Its length there is the fold of its steps from the start,
     as a run from the start sums it (the field sums from the frontier end)."""
-    view, field = ((dd.view, dd.frontier_field_phi) if deformed
-                   else (dd.domain.view, dd.domain.frontier_field))
-    if not np.isfinite(field[start_idx]):
+    view = dd.view if deformed else dd.domain.view
+    if not np.isfinite(view.frontier_field[start_idx]):
         raise SynthesisError("frontier unreachable from the start vertex")
-    curve = Curve.from_indices(dd, _graphs.descend(view.full, field, start_idx))
+    curve = Curve.from_indices(dd, _graphs.descend(view.full, view.frontier_field, start_idx))
     fold = float(np.cumsum(curve.incr_phi if deformed else curve.incr_d)[-1])
     totals = (curve.total_d, fold) if deformed else (fold, curve.total_phi)
     return Curve(dd, curve.vertices, curve.incr_d, curve.incr_phi, *totals)

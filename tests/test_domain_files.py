@@ -29,11 +29,16 @@ COLUMNS = ("ids", "coords", "edge_u", "edge_v", "edge_len", "boundary_idx",
 
 
 def _read(path):
-    """The domain's columns and meta as bytes and JSON, or its error."""
+    """The loaded domain's :func:`_columns`, or its error."""
     try:
         d = load_domain(path)
     except DomainError as exc:
         return "error", str(exc)
+    return _columns(d)
+
+
+def _columns(d):
+    """A domain's columns and meta as bytes and JSON."""
     cols = [getattr(d, c) for c in COLUMNS]
     return ([None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in cols],
             json.dumps(d.meta, sort_keys=True))
@@ -201,6 +206,34 @@ def test_decimal_tokens_read_bitwise(tmp_path_factory, xy, lengths):
     # json.load reads an integer as an int: "-0" is then +0.0
     assert cols[1][2] == np.array([[float(json.loads(x)), float(json.loads(y))]
                                    for x, y in xy]).tobytes()
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_shuffled_ids_load_as_their_sorted_twin(tmp_path, spec):
+    # one domain under shuffled ids, saved in the generator's vertex order
+    # and with its vertices sorted by id: each file loads to the arrays it
+    # was saved from, and the two agree vertex for vertex
+    d = generate_domain(spec)
+    ids = np.random.default_rng(1).permutation(d.n_vertices) * 3 - 5
+    order = np.argsort(ids)
+    rank = np.argsort(order)  # the sorted twin's index of each vertex
+    doms = [MetricDomain(ids=ids, coords=d.coords, edge_u=d.edge_u, edge_v=d.edge_v,
+                         edge_len=d.edge_len, boundary_idx=d.boundary_idx,
+                         frontier_idx=d.frontier_idx, meta=d.meta),
+            MetricDomain(ids=ids[order], coords=d.coords[order], edge_u=rank[d.edge_u],
+                         edge_v=rank[d.edge_v], edge_len=d.edge_len,
+                         boundary_idx=rank[d.boundary_idx],
+                         frontier_idx=rank[d.frontier_idx], meta=d.meta)]
+    loaded = []
+    for n, dom in enumerate(doms):
+        dom.save(tmp_path / f"{n}.json")
+        assert _both(tmp_path / f"{n}.json") == (True, _columns(dom))
+        loaded.append(load_domain(tmp_path / f"{n}.json"))
+    shuffled, twin = loaded
+    assert (shuffled.ids[order] == twin.ids).all()
+    assert (shuffled.coords[order] == twin.coords).all()
+    for col in ("edge_u", "edge_v", "boundary_idx", "frontier_idx"):
+        assert (rank[getattr(shuffled, col)] == getattr(twin, col)).all()
 
 
 def test_saved_files_never_reach_json_load(tmp_path, monkeypatch):

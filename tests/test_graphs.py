@@ -305,6 +305,40 @@ def test_kernel_calls_leave_no_reference_cycles(tmp_path):
         gc.enable()
 
 
+def test_goal_arrays_are_checked_before_the_kernel_reads_them():
+    adj, stop = _diamond(), (np.array([3]), 0.0)
+    for goal in ((np.zeros(3), None, 3, 0.0), (np.zeros(4), np.zeros(4), 3, 1.0),
+                 (np.zeros(4, np.float32), None, 3, 0.0)):
+        with pytest.raises(TypeError):
+            _graphs.distances_from(adj, 0, stop=stop, goal=goal)
+    with pytest.raises(IndexError):
+        _graphs.distances_from(adj, 0, stop=stop, goal=(np.zeros(4), None, 4, 0.0))
+    # a zero field and kappa 0 steer nothing: the plain run
+    assert _graphs.distances_from(adj, 0, goal=(np.zeros(4), np.zeros((4, 2)), 3, 0.0)
+                                  ).tolist() == _graphs.distances_from(adj, 0).tolist()
+
+
+def test_dropped_domains_leave_no_reference_cycles():
+    # the views hold arrays, never their domain: pair queries on both views
+    # and a boundary escape leave nothing for the garbage collector when the
+    # domain and the deformed domain are dropped
+    dom = generate_domain("half_plane:width=4,depth=8,h=0.25,conn=8")
+    dd = deform(dom, WeightFunction.power(2))
+    b, x, y = (int(dom.ids[dom.boundary_idx[3]]), dom.nearest_vertex(0.5, 2.0),
+               dom.nearest_vertex(-1.0, 6.0))
+    gc.collect()
+    gc.disable()
+    try:
+        for pair in ((b, x), (x, y)):
+            assert dom.distance(*pair) > 0.0 and dd.dphi_distance(*pair) > 0.0
+            assert dd.dphi_geodesic(*pair).total_phi > 0.0
+        assert dd.dist_to_infinity(b).upper > 0.0
+        del dom, dd
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _deep_graphs():
     """(name, matrix, domain) on grids of about 40k vertices, where the heap
     holds hundreds of entries: a half plane's full and interior matrices,

@@ -320,9 +320,9 @@ def test_escapes_run_only_the_threshold_search(monkeypatch):
     runs = []
     real = _graphs._distances
 
-    def recorded(adj, roots, limit=np.inf, stop=None, into=None):
+    def recorded(adj, roots, limit=np.inf, *more, **named):
         runs.append(limit)
-        return real(adj, roots, limit, stop, into)
+        return real(adj, roots, limit, *more, **named)
 
     monkeypatch.setattr(_graphs, "_distances", recorded)
     x = domain.vertex_id(np.flatnonzero(dd.field.values == 1.0)[1])

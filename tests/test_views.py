@@ -41,14 +41,16 @@ def _edges(spec, metric, seed):
     return dom.n_vertices, dom.edge_u, dom.edge_v, w, dom.boundary_idx
 
 
-def _view(edges):
+def _view(edges, dom=None):
     """The view a domain makes of these edges: their full matrix and a
-    read-only boundary mask."""
+    read-only boundary mask, and the frontier and coordinates of ``dom``
+    when it is given."""
     n, eu, ev, w, boundary = edges
     mask = np.zeros(n, dtype=bool)
     mask[boundary] = True
     mask.flags.writeable = False
-    return _graphs.MetricView(_graphs.build_adjacency(n, eu, ev, w), mask)
+    placed = () if dom is None else (dom.frontier_idx, dom.coords)
+    return _graphs.MetricView(_graphs.build_adjacency(n, eu, ev, w), mask, *placed)
 
 
 def _rebuilt(n, eu, ev, w, boundary, ia, ib):
@@ -82,15 +84,22 @@ def _py_walk(adj, dist, source, target):
 
 
 def _pair_suite(spec, metric, seed):
+    # pair runs are steered by the boundary field alone, and by the field
+    # and the coordinates (kappa < 1 under the random metric at h = 1)
     edges = _edges(spec, metric, seed)
+    for dom in (None, generate_domain(spec)):
+        _every_pair(edges, dom)
+
+
+def _every_pair(edges, dom):
     n = edges[0]
     for ia in range(n):
         for ib in range(ia + 1, n):
             want, want_path = _rebuilt(*edges, ia, ib)
             # a fresh view per comparison, so no memo can answer
-            got = _view(edges).distance(ia, ib)
+            got = _view(edges, dom).distance(ia, ib)
             assert got == want or (math.isinf(got) and math.isinf(want))
-            view = _view(edges)
+            view = _view(edges, dom)
             val, path = view.geodesic(ia, ib)
             assert val == got or (math.isinf(val) and math.isinf(want))
             if want_path is None:
@@ -117,6 +126,26 @@ def test_view_matches_rebuilt_matrix_without_the_kernel(spec, metric, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_graphs, "_kernel", None)
         _pair_suite(spec, metric, seed)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scipy"])
+def test_view_matches_rebuilt_matrix_with_coincident_vertices(engine, monkeypatch):
+    # a 3 x 3 grid over a boundary row, and a tenth vertex at the centre's
+    # coordinates: their edge has no chord, and kappa comes from the others
+    xy = np.array([(x, y) for y in range(3) for x in range(3)] + [(1, 1)], float)
+    eu = np.array([0, 1, 3, 4, 6, 7, 0, 1, 2, 3, 4, 5, 4, 9, 9, 9])
+    ev = np.array([1, 2, 4, 5, 7, 8, 3, 4, 5, 6, 7, 8, 9, 2, 6, 8])
+    w = np.random.default_rng(7).uniform(0.5, 1.5, eu.size)
+    w[12] = 0.25
+    dom = MetricDomain(ids=np.arange(10), coords=xy, edge_u=eu, edge_v=ev,
+                       edge_len=w, boundary_idx=np.arange(3), frontier_idx=[7])
+    chord = np.sqrt(np.sum((xy[eu] - xy[ev]) ** 2, axis=1))
+    assert chord[12] == 0.0
+    want = np.min(np.delete(w, 12) / np.delete(chord, 12)) if _graphs._kernel else 0.0
+    assert dom.view._kappa == want < 1.0
+    if engine == "scipy":
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    _every_pair((10, eu, ev, w, dom.boundary_idx), dom)
 
 
 @settings(max_examples=24, deadline=None)
@@ -500,3 +529,78 @@ def test_subcurve_scan_matches_full_runs(spec, metric, seed, walk):
     assert got == want
     # one bounded run per curve end, and none for the whole-curve distance
     assert len(limits) == 2 and all(np.isfinite(limits))
+
+
+# -- steered runs settle fewer vertices and answer the same -------------------
+
+
+def _plain(view, ia, ib):
+    """(value, path from ``ia``, vertices settled) of the unsteered run from
+    the smaller index stopped at the other one, walked as ``geodesic``
+    walks."""
+    root, other = min(ia, ib), max(ia, ib)
+    lo, hi = view.full.indptr[other], view.full.indptr[other + 1]
+    members, offsets = view.full.indices[lo:hi], view.full.data[lo:hi]
+    buf = _graphs.RunBuffer(view.full.shape[0], 0)
+    dist = _graphs.distances_from(view.interior, root, stop=(members, offsets), into=buf)
+    dist[other] = value = np.min(dist[members] + offsets)
+    path = _graphs.extract_path(view.full, dist, root, other) if np.isfinite(value) else None
+    return value, (path if path is None or path[0] == ia else path[::-1]), buf.settled
+
+
+_BIG = {}
+
+
+def _big(spec, metric):
+    """A 40,401-vertex domain's view of one metric, built once per module."""
+    if (spec, metric) not in _BIG:
+        dom = generate_domain(spec)
+        _BIG[spec, metric] = dom, (dom.view if metric == "base" else deform(dom, W2).view)
+    return _BIG[spec, metric]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["half_plane:width=20,depth=20,h=0.1,conn=8",
+                        "slit_plane:depth=5,h=0.1,conn=8"]),
+       st.sampled_from(["base", "phi"]), st.integers(min_value=0, max_value=10_000))
+def test_steered_pairs_match_plain_runs_on_deep_grids(spec, metric, seed):
+    dom, view = _big(spec, metric)
+    rng = np.random.default_rng(seed)
+    interior = np.flatnonzero(~dom.boundary_mask)
+    a = int(rng.choice(dom.boundary_idx if seed % 3 == 0 else interior))
+    b = int(rng.choice(interior))
+    if a == b:
+        return
+    value, path, _ = _plain(view, a, b)
+    got, got_path = view.geodesic(a, b)
+    assert _same(np.float64(got), np.float64(value))
+    assert got_path.tolist() == path.tolist()
+    assert view.distance(b, a) == got
+
+
+def test_boundary_escape_matches_the_plain_stopped_run():
+    dom = _big("half_plane:width=20,depth=20,h=0.1,conn=8", "phi")[0]
+    dd = deform(dom, W2)
+    frontier = dom.frontier_idx
+    for b in dom.boundary_idx[::23]:
+        dist = _graphs.distances_from(dd.view.interior, int(b), stop=(frontier, 0.0))
+        est = dd.dist_to_infinity(dom.vertex_id(b))
+        assert _same(np.float64(est.frontier_dphi), np.min(dist[frontier]))
+
+
+def test_steered_runs_settle_a_fraction_of_plain_ones():
+    # counts of vertices, which do not depend on the machine
+    dom = generate_domain("half_plane:width=20,depth=20,h=0.1")
+    dd = deform(dom, W2)
+    b, t = dom.index(dom.nearest_vertex(0.0, 0.0)), dom.index(dom.nearest_vertex(2.0, 12.0))
+    for view in (dom.view, dd.view):
+        settled = _plain(view, b, t)[2]
+        view.distance(b, t)
+        assert view._buffer.settled <= settled / 4
+    dd.dist_to_infinity(dom.vertex_id(b))
+    settled = dd.view._buffer.settled
+    # the latest run answers: its array, walked from the nearest frontier vertex
+    escape = dd.view.nearest(b, dom.frontier_idx, goal=("frontier_field", -1))[0]
+    fr = dom.frontier_idx
+    path = _graphs.descend(dd.view.full, escape, int(fr[np.argmin(escape[fr])]))
+    assert settled < 4 * len(path)
