@@ -221,3 +221,20 @@ int32_t cd_walk(int32_t n, const int32_t *indptr, const int32_t *indices,
     }
     return len;
 }
+
+/* The edge id of each step u[i] -> v[i] on an edge-id CSR, whose entries
+ * hold the id plus one: ids[i] = data[j] - 1 for the j in row u[i] with
+ * indices[j] == v[i], or -1 where the row has no such entry. */
+void cd_edge_ids(int64_t k, const int64_t *u, const int64_t *v,
+                 const int32_t *indptr, const int32_t *indices,
+                 const int32_t *data, int64_t *ids)
+{
+    for (int64_t i = 0; i < k; i++) {
+        ids[i] = -1;
+        for (int32_t j = indptr[u[i]]; j < indptr[u[i] + 1]; j++)
+            if (indices[j] == v[i]) {
+                ids[i] = (int64_t)data[j] - 1;
+                break;
+            }
+    }
+}

@@ -1,8 +1,8 @@
 """Shortest-path plumbing shared by the rest of the package.
 
-Everything here operates on plain CSR adjacency matrices and integer vertex
-indices.  Translation between user-facing vertex ids and row indices happens
-one level up, in :mod:`confdeform.domain`.
+Everything here operates on plain CSR matrices and integer vertex indices.
+Vertex ids and a domain's edge-id CSRs, over which each metric gathers its
+lengths (:class:`MetricView`), live one level up, in :mod:`confdeform.domain`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ def _load_kernel():
                                    p, p, i32, f64]
     kernel.cd_kappa.argtypes, kernel.cd_kappa.restype = [i32, p, p, p, p], f64
     kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, p]
+    kernel.cd_edge_ids.argtypes, kernel.cd_edge_ids.restype = [i64, p, p, p, p, p, p], None
     kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p, p, p]
     kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
     kernel.cd_scan.restype = ctypes.c_int
@@ -78,9 +79,9 @@ def _csr(adj, *vertices):
 
 
 def build_adjacency(n_vertices, edge_u, edge_v, edge_len):
-    """Symmetric CSR adjacency matrix from an undirected edge list.  The
-    coordinates are made in the CSR's own index dtype, so scipy copies none
-    of them: at 641,601 vertices the build peaks at 146 MB, not 228 MB."""
+    """Symmetric CSR of an undirected edge list's values, a repeat summed (a
+    domain's holds edge ids plus one).  The coordinates are made in its index
+    dtype, so scipy copies none: at 641,601 vertices it peaks at 146 MB."""
     index = np.int32 if n_vertices < 2**31 else np.int64
     rows = np.concatenate([edge_u, edge_v], dtype=index)
     cols = np.concatenate([edge_v, edge_u], dtype=index)
@@ -204,25 +205,25 @@ def extract_path(adj, dist, source, target):
     return path[::-1].copy()
 
 
-_inner_lookup = getattr(csr_matrix, "_get_arrayXarray", None)  # private: may go
-
-
-def edge_lengths_along(adj, path):
-    """Per-step edge lengths of a vertex index sequence, read from the CSR
-    matrix ``adj`` by scipy's element lookup.  Raises if an index is out of
-    range or two consecutive vertices are not adjacent."""
-    path, n = np.asarray(path, dtype=np.int64), adj.shape[0]
-    if not ((0 <= path) & (path < n)).all():
+def edge_lengths_along(edges, path, *lengths):
+    """Per-step lengths of a vertex index path, one array per per-edge ``lengths``,
+    from one lookup of the steps' ids in ``edges`` (a CSR of edge ids plus one):
+    the kernel's, or scipy's slower public ``edges[u, v]`` where it cannot run.
+    Raises if an index is out of range or two consecutive vertices are not adjacent."""
+    path, n = np.ascontiguousarray(path, dtype=np.int64), edges.shape[0]
+    if path.size and (path.min() < 0 or path.max() >= n):  # scipy wraps a negative index
         raise IndexError(f"vertex index out of range for {n} vertices")
     u, v = path[:-1], path[1:]
-    # adj[u, v] less its index checks (made above; scipy wraps a negative index),
-    # which take 3/4 of a few-hundred-step lookup; a scipy without it pays them
-    steps = _inner_lookup(adj, u, v) if _inner_lookup else adj[u, v] if u.size else u[:0]
-    steps = np.asarray(steps, dtype=np.float64).ravel()
-    if not steps.all():  # edge lengths are positive: a zero is no entry
-        i = int(np.argmin(steps))
+    if _kernel is None or edges.indices.dtype != np.int32:
+        ids = np.asarray(edges[u, v]).ravel() - 1 if u.size else u
+    else:
+        ids = np.empty(u.size, np.int64)
+        arrays = (u, v, edges.indptr, edges.indices, edges.data, ids)
+        _kernel.cd_edge_ids(u.size, *map(_ptr, arrays, ("i8", "i8", "i4", "i4", "i4", "i8")))
+    if (ids < 0).any():
+        i = int(np.argmin(ids))
         raise ValueError(f"vertices {path[i]} and {path[i + 1]} are not adjacent")
-    return steps
+    return tuple(w[ids] for w in lengths)
 
 
 def pairwise_distances(adj, vertices):
@@ -267,9 +268,9 @@ def drop_incident_edges(adj, blocked):
 class MetricView:
     """Queries through the open domain under one edge-length assignment.
 
-    Holds the full CSR, the domain's boundary mask, frontier and coordinates
-    (or None), never the domain; the interior CSR is the full one with its
-    entries into boundary vertices masked out (:func:`drop_incident_edges`).
+    Its full and interior CSRs gather one per-edge length array over the
+    domain's edge-id CSRs (:func:`drop_incident_edges` masks the interior
+    one), sharing their index arrays.  Holds arrays only, never the domain.
     A pair query is one run from the smaller index on the directed matrix,
     steered toward the target (:meth:`_goal`) and stopped at its value: the
     least ``dist[u] + w(u, t)`` over its neighbours in the full CSR (where
@@ -287,18 +288,16 @@ class MetricView:
 
     MEMO_SIZE = 256
 
-    def __init__(self, full, boundary_mask, frontier_idx=(), coords=None):
-        self.full = full
+    def __init__(self, edges, interior, lengths, boundary_mask, frontier_idx=(), coords=None):
+        self.full, self.interior = (
+            csr_matrix((lengths[e.data - 1], e.indices, e.indptr), shape=e.shape)
+            for e in (edges, interior))
         self.boundary_mask = boundary_mask
         self.frontier_idx = np.asarray(frontier_idx, dtype=np.int64)
         self.coords = None if coords is None else np.ascontiguousarray(coords, float)
         self._memo = {}  # (root, other) -> distance, oldest first
         self._last = None  # (root, goal, radius up to which it is exact, dist)
         self._steers = {}  # field name -> whether its potential may steer
-
-    @cached_property
-    def interior(self):
-        return drop_incident_edges(self.full, self.boundary_mask)
 
     @cached_property
     def boundary_field(self):  # through the boundary is never shorter

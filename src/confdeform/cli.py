@@ -32,16 +32,17 @@ def _load_domain(spec):
 def _resolve_vertex(dom, text):
     """Vertex reference: ``id:<n>`` or ``x,y`` snapped to the nearest vertex."""
     text = text.strip()
+    try:
+        if text.startswith("id:"):
+            vid = int(text[3:])
+        else:
+            x, y = map(float, text.split(","))
+    except ValueError:  # a bad number, or not two of them
+        raise DomainError(f"bad vertex reference {text!r}; "
+                          "use 'x,y' coordinates or 'id:N'") from None
     if text.startswith("id:"):
-        vid = int(text[3:])
-        dom.index(vid)
-        return vid
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DomainError(
-            f"bad vertex reference {text!r}; use 'x,y' coordinates or 'id:N'"
-        )
-    return dom.nearest_vertex(float(parts[0]), float(parts[1]))
+        return dom.vertex_id(dom.index(vid))
+    return dom.nearest_vertex(x, y)
 
 
 def _bundle_for(dd, args):
@@ -185,10 +186,12 @@ def _run_checks(dd, args, tol, names=None):
 
 
 def cmd_check(args):
+    text = args.checks  # checked, like the run flags, before the domain loads
+    names = None if text == "all" else [c.strip() for c in text.split(",") if c.strip()]
+    if names is not None and not (names and set(names) <= set(verify.CHECK_NAMES)):
+        raise ValueError(f"--checks takes 'all' or names from "
+                         f"{', '.join(verify.CHECK_NAMES)}; got {text!r}")
     dd, tol = _build_deformed(args)
-    names = None
-    if args.checks and args.checks != "all":
-        names = [c.strip() for c in args.checks.split(",") if c.strip()]
     _, _, payload = _run_checks(dd, args, tol, names)
     _emit(payload, args.out)
     return 1 if payload["violations_total"] > 0 else 0

@@ -55,8 +55,8 @@ class Curve:
         pass the Dijkstra distance so lengths telescope exactly.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        incr_d = _graphs.edge_lengths_along(dd.domain.adjacency, indices)
-        incr_phi = _graphs.edge_lengths_along(dd.adjacency_phi, indices)
+        incr_d, incr_phi = _graphs.edge_lengths_along(
+            dd.domain.edge_ids, indices, dd.domain.edge_len, dd.edge_len_phi)
         return cls(
             dd, indices, incr_d, incr_phi,
             float(np.sum(incr_d)) if total_d is None else total_d,

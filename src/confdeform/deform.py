@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _graphs
 from .domain import BoundaryDistanceField, DomainError, boundary_distance
 
 
@@ -100,10 +99,7 @@ class DeformedDomain:
     @cached_property
     def view(self):
         """Deformed-metric view: pair queries, rooted runs and geodesics."""
-        return _graphs.MetricView(_graphs.build_adjacency(
-            self.domain.n_vertices, self.domain.edge_u, self.domain.edge_v,
-            self.edge_len_phi), self.domain.boundary_mask, self.domain.frontier_idx,
-            self.domain.coords)
+        return self.domain.metric_view(self.edge_len_phi)
 
     adjacency_phi = property(lambda self: self.view.full)
     adjacency_phi_interior = property(lambda self: self.view.interior)

@@ -153,28 +153,27 @@ class MetricDomain:
     # -- adjacency views ---------------------------------------------------
 
     @cached_property
+    def edge_ids_interior(self):
+        """Source-directed interior pattern: no entry enters a boundary vertex."""
+        return _graphs.drop_incident_edges(self.edge_ids, self.boundary_mask)
+
+    def metric_view(self, lengths):
+        """Queries under the per-edge ``lengths``: a gather over the pattern."""
+        return _graphs.MetricView(self.edge_ids, self.edge_ids_interior, lengths,
+                                  self.boundary_mask, self.frontier_idx, self.coords)
+
+    @cached_property
     def view(self):
         """Base-metric view: pair queries, rooted runs and geodesics."""
-        return _graphs.MetricView(_graphs.build_adjacency(
-            self.n_vertices, self.edge_u, self.edge_v, self.edge_len),
-            self.boundary_mask, self.frontier_idx, self.coords)
+        return self.metric_view(self.edge_len)
 
-    @property
-    def adjacency(self):
-        """Full CSR adjacency, boundary vertices included."""
-        return self.view.full
-
-    @property
-    def adjacency_interior(self):
-        """Source-directed interior adjacency: no edge enters a boundary
-        vertex.  Interior paths must stay in the open domain, so queries run
-        on this view.  Frontier vertices are ordinary interior vertices."""
-        return self.view.interior
+    # the base metric's CSR adjacency over each pattern
+    adjacency = property(lambda self: self.view.full)
+    adjacency_interior = property(lambda self: self.view.interior)
 
     @cached_property
     def interior_components(self):
-        """Strong component label per vertex of the interior matrix (both
-        metrics share it); each boundary vertex is a component of its own."""
+        """Strong components of the interior pattern, via the base matrix (no float copy)."""
         return connected_components(self.adjacency_interior, connection="strong")[1]
 
     @property
@@ -217,11 +216,14 @@ class MetricDomain:
             raise DomainError("domain needs at least one boundary vertex")
         if (self.boundary_mask & self.frontier_mask).any():
             raise DomainError("boundary and frontier vertices overlap")
-        # csr_matrix sums repeats: a listed-twice edge would count double
-        if self.adjacency.nnz != 2 * self.n_edges:
+        # both metrics' pattern: entry (u, v) is edge u-v's id + 1, and a repeat sums
+        adj = _graphs.build_adjacency(n, self.edge_u, self.edge_v,
+                                      np.arange(1, self.n_edges + 1))
+        if adj.nnz != 2 * self.n_edges:
             raise DomainError("an undirected edge is listed more than once")
-        if connected_components(self.adjacency, directed=False)[0] != 1:
+        if connected_components(adj, directed=False)[0] != 1:
             raise DomainError("graph is not connected")
+        self.edge_ids = adj.astype(adj.indices.dtype)
 
     def _records(self, key, rows=slice(None)):
         """The records of the list ``key`` of :meth:`to_dict` in ``rows``."""

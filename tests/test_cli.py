@@ -311,6 +311,14 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
       "--from", "0,1", "--to", "0,2"], "mesh size h must be positive and finite, got 0.0"),
     (["distance", "--domain", "half_plane:h=-0.5,width=2,depth=2", "--weight", W,
       "--from", "0,1", "--to", "0,2"], "mesh size h must be positive and finite, got -0.5"),
+    # a checker list that names nothing, or a name no checker has
+    (["check", *COMMON, "--checks", ","], "--checks takes 'all' or names from"),
+    (["check", *COMMON, "--checks", "large_bound,bogus"], "got 'large_bound,bogus'"),
+    # vertex references that are not numbers: named, not Python's message
+    (["distance", *COMMON, "--from", "id:abc", "--to", "0,2"],
+     "bad vertex reference 'id:abc'; use 'x,y' coordinates or 'id:N'"),
+    (["distance", *COMMON, "--from", "1,x", "--to", "0,2"],
+     "bad vertex reference '1,x'; use 'x,y' coordinates or 'id:N'"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)
@@ -327,6 +335,16 @@ def test_negative_inf_queries_exit_2_before_the_domain_loads(monkeypatch):
                         "--inf-queries", "-3"])
     assert code == 2
     assert "sample counts must be nonnegative" in err
+
+
+@pytest.mark.parametrize("checks", [",", "", "bogus"])
+def test_bad_checks_exit_2_before_the_domain_loads(monkeypatch, checks):
+    def no_load(spec):
+        raise AssertionError("the domain was loaded")
+    monkeypatch.setattr(cli, "_load_domain", no_load)
+    code, _, err = run(["check", *COMMON, "--checks", checks])
+    assert code == 2
+    assert "--checks takes 'all' or names from" in err
 
 
 def test_repeated_edge_in_domain_file_exits_2(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from confdeform import _graphs, domain
 from confdeform.deform import deform
-from confdeform.domain import generate_domain, load_domain
+from confdeform.domain import MetricDomain, generate_domain, load_domain
 from confdeform.weight import WeightFunction
 
 
@@ -158,47 +158,43 @@ def test_extract_path_rejects_inconsistent_distances(kernel, monkeypatch):
 
 
 def test_edge_lengths_along():
-    adj = _diamond()
-    steps = _graphs.edge_lengths_along(adj, [0, 1, 2, 3])
-    assert steps.tolist() == [1.0, 0.2, 1.5]
-    with pytest.raises(ValueError, match="not adjacent"):
-        _graphs.edge_lengths_along(adj, [0, 3])
+    # the diamond's pattern, then the geodesics of both metrics on a half
+    # plane: each step's lengths are those the metrics' matrices hold, from
+    # the kernel's lookup and from scipy's
+    eu, ev = np.array([0, 1, 0, 2, 1]), np.array([1, 3, 2, 3, 2])
+    diamond = MetricDomain(ids=np.arange(4), coords=None, edge_u=eu, edge_v=ev,
+                           edge_len=[1.0, 1.0, 1.5, 1.5, 0.2], boundary_idx=[0],
+                           frontier_idx=[])
+    lengths = diamond.edge_len, 2.0 * diamond.edge_len
+    dd = deform(generate_domain("half_plane:width=4,depth=4,h=0.5,conn=8"),
+                WeightFunction.power(2))
+    for kernel in (_graphs._kernel, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_graphs, "_kernel", kernel)
+            _edge_lengths_cases(diamond, lengths, dd)
+
+
+def _edge_lengths_cases(diamond, lengths, dd):
+    steps = _graphs.edge_lengths_along(diamond.edge_ids, [0, 1, 2, 3], *lengths)
+    assert [s.tolist() for s in steps] == [[1.0, 0.2, 1.5], [2.0, 0.4, 3.0]]
+    # a one-vertex path has no steps
+    assert [s.size for s in _graphs.edge_lengths_along(diamond.edge_ids, [2], *lengths)] == [0, 0]
+    dom = dd.domain
+    for path in (dom.view.geodesic(0, 80)[1], dd.view.geodesic(3, 75)[1]):
+        # reversed too: a path that is a view with a negative stride
+        for walk in (path, path[::-1]):
+            steps = _graphs.edge_lengths_along(dom.edge_ids, walk, dom.edge_len,
+                                               dd.edge_len_phi)
+            for adj, got in zip((dom.adjacency, dd.adjacency_phi), steps):
+                want = np.asarray(adj[walk[:-1], walk[1:]]).ravel()
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for edges, path in ((diamond.edge_ids, [0, 3]), (dom.edge_ids, [3, 4, 5, 80])):
+        with pytest.raises(ValueError, match="not adjacent"):
+            _graphs.edge_lengths_along(edges, path, *lengths)
     # scipy's indexing reads A[-1, 0] as the last row: range-checked first
     for path in ([0, 1, -1], [-4, 0], [0, 4], [3, 2, 1, 40]):
         with pytest.raises(IndexError, match="out of range"):
-            _graphs.edge_lengths_along(adj, path)
-    assert _graphs.edge_lengths_along(adj, [2]).size == 0
-
-
-def test_edge_lengths_along_without_scipy_private_lookup(monkeypatch):
-    # a scipy without csr_matrix._get_arrayXarray: the public adj[u, v]
-    # serves.  scipy's own indexing calls that method, so it is taken from
-    # confdeform's reach only, not from scipy.
-    dd = deform(generate_domain("half_plane:width=4,depth=4,h=0.5,conn=8"),
-                WeightFunction.power(2))
-    diamond = _diamond()
-    cases = [(diamond, [0, 1, 2, 3]), (diamond, [2]),
-             (dd.domain.adjacency, dd.domain.view.geodesic(0, 80)[1]),
-             (dd.adjacency_phi, dd.view.geodesic(3, 75)[1])]
-    bad = [(diamond, [0, 3]), (dd.adjacency_phi, [3, 4, 5, 80]),
-           (diamond, [0, 1, -1]), (diamond, [-4, 0]), (diamond, [0, 4]),
-           (diamond, [3, 2, 1, 40])]
-
-    def outcomes():
-        out = []
-        for adj, path in cases:
-            steps = _graphs.edge_lengths_along(adj, path)
-            out.append((steps.dtype, steps.tobytes()))
-        for adj, path in bad:
-            with pytest.raises((IndexError, ValueError)) as exc:
-                _graphs.edge_lengths_along(adj, path)
-            out.append((exc.type, str(exc.value)))
-        return out
-
-    private = outcomes()
-    monkeypatch.setattr(_graphs, "_inner_lookup", None)
-    assert outcomes() == private
-    assert [kind for kind, _ in private[4:]] == [ValueError] * 2 + [IndexError] * 4
+            _graphs.edge_lengths_along(diamond.edge_ids, path, *lengths)
 
 
 def _random_geometric_adjacency(rng, n=60):

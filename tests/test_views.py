@@ -42,15 +42,16 @@ def _edges(spec, metric, seed):
 
 
 def _view(edges, dom=None):
-    """The view a domain makes of these edges: their full matrix and a
-    read-only boundary mask, and the frontier and coordinates of ``dom``
-    when it is given."""
+    """The view a domain makes of these edges: their lengths over the
+    edge-id pattern and its interior, a read-only boundary mask, and the
+    frontier and coordinates of ``dom`` when it is given."""
     n, eu, ev, w, boundary = edges
     mask = np.zeros(n, dtype=bool)
     mask[boundary] = True
     mask.flags.writeable = False
     placed = () if dom is None else (dom.frontier_idx, dom.coords)
-    return _graphs.MetricView(_graphs.build_adjacency(n, eu, ev, w), mask, *placed)
+    ids = _graphs.build_adjacency(n, eu, ev, np.arange(1, eu.size + 1)).astype(np.int32)
+    return _graphs.MetricView(ids, _graphs.drop_incident_edges(ids, mask), w, mask, *placed)
 
 
 def _rebuilt(n, eu, ev, w, boundary, ia, ib):
@@ -342,11 +343,33 @@ def test_one_boundary_mask_per_domain(monkeypatch):
     assert np.flatnonzero(mask).tolist() == sorted(dom.boundary_idx.tolist())
     dd = deform(dom, W2)
     assert dd.view.boundary_mask is mask and dom.view.boundary_mask is mask
-    # each metric builds its full matrix once and masks its interior from it
+    # the domain built its pattern when it was validated, and masks the
+    # interior pattern once; both metrics gather over the two
     for matrix in (dom.adjacency_interior, dd.adjacency_phi_interior,
                    dd.adjacency_phi, dom.adjacency_interior):
         assert matrix.nnz
-    assert len(builds) == 1 and len(drops) == 2
+    assert len(builds) == 0 and len(drops) == 1
+
+
+def test_metrics_share_one_pattern(monkeypatch):
+    builds = _counted(monkeypatch, "build_adjacency")
+    drops = _counted(monkeypatch, "drop_incident_edges")
+    dom = half_plane(width=4, depth=8, h=0.25, conn=8)
+    assert len(builds) == 1 and dom.edge_ids.data.dtype == np.int32
+    # three deformations, every view used: no build and no mask but the
+    # domain's own, and every matrix shares the pattern's index arrays
+    for weight in (W2, WeightFunction.power(3), WeightFunction.power(2)):
+        dd = deform(dom, weight)
+        assert dd.dphi_distance(int(dom.ids[dom.boundary_idx[3]]),
+                                dom.nearest_vertex(0.5, 2.0)) > 0.0
+        assert dd.dphi_geodesic(dom.nearest_vertex(-1.5, 6.0),
+                                dom.nearest_vertex(1.0, 0.5)).total_d > 0.0
+        assert dd.frontier_field_phi.size and dom.frontier_field.size
+        for base, phi in ((dom.adjacency, dd.adjacency_phi),
+                          (dom.adjacency_interior, dd.adjacency_phi_interior)):
+            assert np.shares_memory(base.indices, phi.indices)
+            assert np.shares_memory(base.indptr, phi.indptr)
+    assert len(builds) == 1 and len(drops) == 1
 
 
 def test_distance_then_geodesic_runs_once(warm, monkeypatch):
