@@ -17,6 +17,8 @@
  * vertex a run settles gets the same fixed-point value, and every vertex on
  * a shortest or tied path to the goal has a key below the stop value c.
  * A null field and null xy give h = 0: the plain run, bit for bit.
+ * A run never enters a vertex of the blocked mask, though a root may be one:
+ * bit for bit the run on the matrix without the entries into them (null: none).
  * Build with -O2 and without -ffast-math: the sums must round as numpy's.
  */
 #include <math.h>
@@ -131,7 +133,7 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
                     double limit, int32_t n_stop, const int32_t *stop,
                     const double *offset, double *dist, int32_t n_order,
                     int32_t *order, const double *field, const double *xy,
-                    int32_t t, double kappa)
+                    int32_t t, double kappa, const uint8_t *blocked)
 {
     int32_t *pos = malloc(n * sizeof *pos), *slot = malloc(n * sizeof *slot);
     entry *heap = malloc(n * sizeof *heap);
@@ -182,7 +184,7 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
              * the potential), so no pos test; a finite dist[u] means this
              * run pushed u, and the > 0 keeps the heap in bounds even for
              * a negative w */
-            if (!(d < dist[u]) || !(d <= limit))
+            if (!(d < dist[u]) || !(d <= limit) || (blocked && blocked[u]))
                 continue;
             int32_t k = dist[u] < INFINITY && pos[u] > 0 ? pos[u] - 1 : size++;
             dist[u] = d;

@@ -1,8 +1,10 @@
 """Shortest-path plumbing shared by the rest of the package.
 
 Everything here operates on plain CSR matrices and integer vertex indices.
-Vertex ids and a domain's edge-id CSRs, over which each metric gathers its
+Vertex ids and a domain's edge-id CSR, over which each metric gathers its
 lengths (:class:`MetricView`), live one level up, in :mod:`confdeform.domain`.
+A run through the open domain reads the full matrix and skips the vertices
+of a ``blocked`` mask: bit for bit a run on ``drop_incident_edges(full, blocked)``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _load_kernel():
         return None
     i32, i64, f64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p,
-                                   p, p, i32, f64]
+                                   p, p, i32, f64, p]
     kernel.cd_kappa.argtypes, kernel.cd_kappa.restype = [i32, p, p, p, p], f64
     kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, p]
     kernel.cd_edge_ids.argtypes, kernel.cd_edge_ids.restype = [i64, p, p, p, p, p, p], None
@@ -89,26 +91,26 @@ def build_adjacency(n_vertices, edge_u, edge_v, edge_len):
     return csr_matrix((vals, (rows, cols)), shape=(n_vertices, n_vertices))
 
 
-def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None):
+def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None, blocked=None):
     """Single-source distances; unreached vertices get ``inf``.  ``stop``,
     (members, offsets), ends the run once the heap minimum exceeds
     ``c = min(dist[members] + offsets)``: the array is then that of
     ``limit=c``, or steered by ``goal`` ((field, coords, t, kappa) of
     ``_dijkstra.c``), exact where it settled.  ``into``, a :class:`RunBuffer`,
-    takes the distances in place of a new array.  scipy, run where the
-    kernel cannot, ignores ``stop``, ``into`` and ``goal``."""
-    return _distances(adj, np.array([source]), limit, stop, into, goal)
+    takes the distances in place of a new array.  ``blocked``, a bool mask,
+    gives the run on ``drop_incident_edges(adj, blocked)``.  scipy, run where
+    the kernel cannot, ignores ``stop``, ``into`` and ``goal``."""
+    return _distances(adj, np.array([source]), limit, stop, into, goal, blocked)
 
 
-def min_distance_field(adj, sources):
-    """Distance from every vertex to the nearest vertex of ``sources``.
-
-    One multi-source sweep, much cheaper than a run per source.
-    """
+def min_distance_field(adj, sources, blocked=None):
+    """Distance from every vertex to the nearest vertex of ``sources`` (on
+    ``drop_incident_edges(adj, blocked)`` with a mask): one multi-source
+    sweep, much cheaper than a run per source."""
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("min_distance_field needs at least one source vertex")
-    return _distances(adj, sources)
+    return _distances(adj, sources, blocked=blocked)
 
 
 class RunBuffer:
@@ -138,15 +140,15 @@ class RunBuffer:
 _NO_ORDER = np.empty(0, dtype=np.int32)
 
 
-def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None):
+def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocked=None):
     """Distances from the nearest of ``roots``, each starting at 0, through
     the kernel, or scipy where it cannot run (see :func:`distances_from`)."""
     members, offsets = (np.empty(0), 0.0) if stop is None else stop
     field, xy, target, kappa = goal or (None, None, -1, 0.0)
     csr = _csr(adj, roots, members, max(target, 0))  # -1: the field's zeros
     if csr is None:
-        return dijkstra(adj, directed=True, indices=roots, limit=limit,
-                        min_only=True)
+        return dijkstra(adj if blocked is None else drop_incident_edges(adj, blocked),
+                        directed=True, indices=roots, limit=limit, min_only=True)
     roots = np.ascontiguousarray(roots, dtype=np.int32)
     members = np.ascontiguousarray(members, dtype=np.int32)
     offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape), float)
@@ -156,7 +158,7 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None):
         *csr, len(roots), _ptr(roots, "i4"), limit, len(members), _ptr(members, "i4"),
         _ptr(offsets, "f8"), _ptr(dist, "f8"), len(order), _ptr(order, "i4"),
         *(None if a is None else _ptr(a, "f8", k * csr[0]) for a, k in ((field, 1), (xy, 2))),
-        target, kappa)
+        target, kappa, None if blocked is None else _ptr(blocked, "?", csr[0]))
     if settled < 0:
         raise MemoryError("no memory for a Dijkstra run")
     if into is not None:
@@ -256,6 +258,7 @@ def drop_incident_edges(adj, blocked):
     enter one: from a blocked root it is the graph without the other blocked
     vertices.  Rows of unblocked vertices are those of the undirected graph
     with the blocked vertices removed, entry for entry (``blocked`` is a mask).
+    The matrix a ``blocked`` run equals bit for bit, which the kernel never builds.
     """
     keep = ~blocked[adj.indices]
     # kept entries before each position, in the index dtype the kernel takes
@@ -268,10 +271,10 @@ def drop_incident_edges(adj, blocked):
 class MetricView:
     """Queries through the open domain under one edge-length assignment.
 
-    Its full and interior CSRs gather one per-edge length array over the
-    domain's edge-id CSRs (:func:`drop_incident_edges` masks the interior
-    one), sharing their index arrays.  Holds arrays only, never the domain.
-    A pair query is one run from the smaller index on the directed matrix,
+    Its one CSR, ``full``, gathers per-edge lengths over the domain's edge-id
+    CSR, sharing its index arrays; runs skip the boundary vertices by the
+    mask, as on ``interior`` (built per read, kept nowhere).  Holds arrays
+    only, never the domain.  A pair query is one run from the smaller index,
     steered toward the target (:meth:`_goal`) and stopped at its value: the
     least ``dist[u] + w(u, t)`` over its neighbours in the full CSR (where
     other boundary vertices hold ``inf``), for interior and boundary targets
@@ -288,10 +291,9 @@ class MetricView:
 
     MEMO_SIZE = 256
 
-    def __init__(self, edges, interior, lengths, boundary_mask, frontier_idx=(), coords=None):
-        self.full, self.interior = (
-            csr_matrix((lengths[e.data - 1], e.indices, e.indptr), shape=e.shape)
-            for e in (edges, interior))
+    def __init__(self, edges, lengths, boundary_mask, frontier_idx=(), coords=None):
+        self.full = csr_matrix((lengths[edges.data - 1], edges.indices, edges.indptr),
+                               shape=edges.shape)
         self.boundary_mask = boundary_mask
         self.frontier_idx = np.asarray(frontier_idx, dtype=np.int64)
         self.coords = None if coords is None else np.ascontiguousarray(coords, float)
@@ -303,9 +305,11 @@ class MetricView:
     def boundary_field(self):  # through the boundary is never shorter
         return min_distance_field(self.full, np.flatnonzero(self.boundary_mask))
 
+    interior = property(lambda self: drop_incident_edges(self.full, self.boundary_mask))
+
     @cached_property
     def frontier_field(self):
-        return min_distance_field(self.interior, self.frontier_idx)
+        return min_distance_field(self.full, self.frontier_idx, self.boundary_mask)
 
     @cached_property
     def _kappa(self):
@@ -329,10 +333,11 @@ class MetricView:
         return RunBuffer(self.full.shape[0], self.full.shape[0] // 16)
 
     def run(self, root, limit=np.inf):
-        """Distances from ``root`` on the interior matrix, up to ``limit``,
+        """Distances from ``root`` through the open domain, up to ``limit``,
         in a new array the caller owns."""
-        self._last = (int(root), None, limit, distances_from(self.interior, root, limit))
-        return self._last[3]
+        dist = distances_from(self.full, root, limit, blocked=self.boundary_mask)
+        self._last = (int(root), None, limit, dist)
+        return dist
 
     def nearest(self, root, members, offsets=0.0, goal=None):
         """(dist, c) of a run from ``root`` stopped at the least ``c = dist[m]
@@ -350,7 +355,8 @@ class MetricView:
         stop, buf = (members, offsets), self._buffer
         buf.dist[buf.order[:buf.settled]] = np.inf
         buf.settled = 0
-        dist = distances_from(self.interior, root, stop=stop, into=buf, goal=steer)
+        dist = distances_from(self.full, root, stop=stop, into=buf, goal=steer,
+                              blocked=self.boundary_mask)
         c = float(np.min(dist[members] + offsets, initial=np.inf))
         self._last = (root, goal, -np.inf if steer else c, dist)
         if buf.settled > buf.order.size:

@@ -152,33 +152,28 @@ class MetricDomain:
 
     # -- adjacency views ---------------------------------------------------
 
-    @cached_property
-    def edge_ids_interior(self):
-        """Source-directed interior pattern: no entry enters a boundary vertex."""
-        return _graphs.drop_incident_edges(self.edge_ids, self.boundary_mask)
-
     def metric_view(self, lengths):
         """Queries under the per-edge ``lengths``: a gather over the pattern."""
-        return _graphs.MetricView(self.edge_ids, self.edge_ids_interior, lengths,
-                                  self.boundary_mask, self.frontier_idx, self.coords)
+        return _graphs.MetricView(self.edge_ids, lengths, self.boundary_mask,
+                                  self.frontier_idx, self.coords)
 
     @cached_property
     def view(self):
         """Base-metric view: pair queries, rooted runs and geodesics."""
         return self.metric_view(self.edge_len)
 
-    # the base metric's CSR adjacency over each pattern
+    # the base metric's CSR adjacency, and its source-directed reference (built per read)
     adjacency = property(lambda self: self.view.full)
     adjacency_interior = property(lambda self: self.view.interior)
 
     @cached_property
     def interior_components(self):
-        """Strong components of the interior pattern, via the base matrix (no float copy)."""
+        """Strong components of ``adjacency_interior`` (scipy would float an int pattern)."""
         return connected_components(self.adjacency_interior, connection="strong")[1]
 
     @property
     def frontier_field(self):
-        """Base twin of ``DeformedDomain.frontier_field_phi`` (interior matrix)."""
+        """Base twin of ``DeformedDomain.frontier_field_phi`` (open domain)."""
         return self.view.frontier_field
 
     def distance(self, x, y):
@@ -500,12 +495,12 @@ def estimate_metric_constants(domain, bdry_field=None, n_pairs=400, seed=0):
     n_sources = max(2, min(interior.size, int(math.ceil(math.sqrt(n_pairs)))))
     n_targets = max(1, int(math.ceil(n_pairs / n_sources)))
     sources = rng.choice(interior, size=n_sources, replace=False)
-    adj = domain.adjacency_interior
+    view = domain.view
     cu = 1.0
     cq = 1.0
     used = 0
     for s in sources:
-        dist = _graphs.distances_from(adj, s)
+        dist = view.run(s)
         reachable = interior[np.isfinite(dist[interior])]
         reachable = reachable[reachable != s]
         if reachable.size == 0:
@@ -513,7 +508,7 @@ def estimate_metric_constants(domain, bdry_field=None, n_pairs=400, seed=0):
         targets = rng.choice(reachable, size=min(n_targets, reachable.size),
                              replace=False)
         for t in targets:
-            path = _graphs.extract_path(adj, dist, s, t)
+            path = _graphs.extract_path(view.full, dist, s, t)
             # rounded differences, not the edge lengths: dist[v] is the float
             # sum dist[u] + w(u, v), and dist[v] - dist[u] need not give w back
             steps = np.diff(dist[path])

@@ -318,6 +318,8 @@ def predicted_vs_measured(dd, bundle, n_pairs=200, n_to_infinity=0, seed=0,
     xs = stratified_pick(shell_groups(dd), rng, n_pairs)
     ys = stratified_pick(shell_groups(dd), rng, n_pairs)
     interior = np.nonzero(~domain.boundary_mask)[0]
+    if n_pairs and interior.size < 2:
+        raise SynthesisError("pairs need at least two interior vertices")
     for ix, iy in zip(xs, ys):
         while iy == ix:
             iy = int(rng.choice(interior))

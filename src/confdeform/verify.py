@@ -60,12 +60,12 @@ CHECK_NAMES = (
 _MAX_WITNESSES = 10
 
 
-def _rooted_pairs(adj, groups, rng, n_sources, per_source):
+def _rooted_pairs(view, groups, rng, n_sources, per_source):
     """(source, target, distances from source) over stratified sources.
     Each source's targets are drawn after its full run; a target equal to
     its source or unreachable from it is skipped."""
     for s in stratified_pick(groups, rng, n_sources):
-        dist = _graphs.distances_from(adj, s)
+        dist = view.run(s)
         for t in stratified_pick(groups, rng, per_source):
             if t != s and np.isfinite(dist[t]):
                 yield s, t, dist
@@ -77,29 +77,27 @@ def _rooted_pairs(adj, groups, rng, n_sources, per_source):
 def check_crossing_levels(dd, n_samples=200, seed=0, tolerance=None):
     """Curves meeting both shell m and shell m+2 are at least as long as
     the crossing bound ``2**m * phi(2**m) / c_phi**2`` in the deformed
-    metric.  Samples mix deformed geodesics with seeded random walks."""
+    metric.  Samples mix deformed geodesics with seeded random walks; a stuck
+    walk is excluded, and draws (curves and stuck walks) stop at ``8 * n_samples``."""
     tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
     shells = dd.field.shells
     weight = dd.weight
     cphi2 = weight.c_phi ** 2
-    adj = dd.adjacency_phi_interior
     groups = shell_groups(dd)
     rep = CheckReport(name="crossing_levels", tolerance=tolerance, seed=seed)
     n_geo = n_samples // 2
     n_sources = max(1, n_geo // 10)
-    pairs = _rooted_pairs(adj, groups, rng, n_sources, max(1, n_geo // n_sources))
-    curves = [(_graphs.extract_path(adj, dist, s, t), float(dist[t]))
+    pairs = _rooted_pairs(dd.view, groups, rng, n_sources, max(1, n_geo // n_sources))
+    curves = [(_graphs.extract_path(dd.view.full, dist, s, t), float(dist[t]))
               for s, t, dist in pairs]
     n_from_geodesics = len(curves)
-    indptr, indices = adj.indptr, adj.indices
-    data = adj.data
-    while len(curves) < n_samples:
+    interior = dd.adjacency_phi_interior  # built here: walks draw among interior neighbours
+    indptr, indices, data = interior.indptr, interior.indices, interior.data
+    while len(curves) < n_samples and len(curves) + rep.excluded < 8 * n_samples:
         v = stratified_pick(groups, rng, 1, start=len(curves))[0]
-        steps = int(rng.integers(40, 400))
-        walk = [v]
-        total = 0.0
-        for _ in range(steps):
+        walk, total = [v], 0.0
+        for _ in range(int(rng.integers(40, 400))):
             lo, hi = indptr[v], indptr[v + 1]
             if hi == lo:
                 break
@@ -109,6 +107,8 @@ def check_crossing_levels(dd, n_samples=200, seed=0, tolerance=None):
             walk.append(v)
         if len(walk) > 1:
             curves.append((np.asarray(walk, dtype=np.int64), total))
+        else:
+            rep.excluded += 1
 
     for path, len_phi in curves:
         s = shells[path]
@@ -145,9 +145,6 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
     rng = np.random.default_rng(seed)
     weight = dd.weight
     shells = dd.field.shells
-    bmask = dd.domain.boundary_mask
-    adj_phi = dd.adjacency_phi_interior
-    adj_d = dd.domain.adjacency_interior
     thr_coef = min(10.0 / (11.0 * 4.0 * weight.c_phi ** 2),
                    10.0 / (22.0 * bundle.cq ** 2))
     groups = shell_groups(dd, deep_side=True)
@@ -161,15 +158,16 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
         m = int(shells[x])
         scale = weight.value(2.0 ** m) * 2.0 ** m
         thr = thr_coef * scale
-        dist_phi = _graphs.distances_from(adj_phi, x, limit=thr)
-        cand = np.nonzero(np.isfinite(dist_phi) & (dist_phi > 0) & ~bmask)[0]
+        dist_phi = dd.view.run(x, thr)
+        # the run enters no boundary vertex: they read inf
+        cand = np.nonzero(np.isfinite(dist_phi) & (dist_phi > 0))[0]
         cand = cand[dist_phi[cand] < thr]
         if cand.size == 0:
             rep.excluded += 1
             continue
         take = cand if cand.size <= 3 else rng.choice(cand, size=3, replace=False)
         limit_d = bundle.c_a * thr / weight.value(2.0 ** m) * (1.0 + tolerance) * 1.01
-        dist_d = _graphs.distances_from(adj_d, x, limit=limit_d)
+        dist_d = dd.domain.view.run(x, limit_d)
         for y in take:
             dphi = float(dist_phi[y])
             d = float(dist_d[y])
@@ -283,7 +281,6 @@ def check_large_bound(dd, bundle, n_samples=200, seed=0, tolerance=None):
     rng = np.random.default_rng(seed)
     weight = dd.weight
     shells = dd.field.shells
-    adj = dd.adjacency_phi_interior
     groups = [(s, g) for s, g in shell_groups(dd) if s <= bundle.m0]
     rep = CheckReport(name="large_bound", tolerance=tolerance, seed=seed)
     if not groups:
@@ -292,7 +289,7 @@ def check_large_bound(dd, bundle, n_samples=200, seed=0, tolerance=None):
     n_sources = max(2, n_samples // 14)
     per_src = max(1, -(-n_samples // n_sources))
     deepest = int(max(s for s, _ in groups))
-    for src, t, dist in _rooted_pairs(adj, groups, rng, n_sources, per_src):
+    for src, t, dist in _rooted_pairs(dd.view, groups, rng, n_sources, per_src):
         m = int(min(shells[src], shells[t]))
         bound = bundle.c_growth * 2.0 ** m * weight.value(2.0 ** m)
         ratio = float(dist[t]) / bound

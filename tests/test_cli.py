@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -400,3 +401,29 @@ def test_malformed_meta_in_domain_file_exits_2(tmp_path, monkeypatch, meta,
     assert code == 2
     assert err.startswith("error: ")
     assert fragment in err
+
+
+def test_sparse_interiors_end_in_time(tmp_path):
+    # one boundary vertex and one interior vertex: no walk can leave its
+    # start and no pair has two interior ends; each command, run in a
+    # process of its own, must end before its timeout
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"vertices": [{"id": 0}, {"id": 1}],
+                                "edges": [[0, 1, 1.0]], "boundary": [0]}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    common = ["--domain", str(path), "--weight", W, "--cu", "2", "--cq", "1",
+              "--no-timestamp"]
+
+    def confdeform(*argv):
+        return subprocess.run([sys.executable, "-m", "confdeform.cli", *argv, *common],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    checked = confdeform("check", "--checks", "crossing_levels")
+    assert checked.returncode == 0, checked.stderr
+    report = json.loads(checked.stdout)["checks"][0]
+    assert (report["samples"], report["excluded"]) == (0, 8 * 200)
+    reported = confdeform("report", "--out", str(tmp_path / "report"))
+    assert reported.returncode == 2
+    assert reported.stderr == "error: pairs need at least two interior vertices\n"

@@ -309,6 +309,12 @@ def test_goal_arrays_are_checked_before_the_kernel_reads_them():
             _graphs.distances_from(adj, 0, stop=stop, goal=goal)
     with pytest.raises(IndexError):
         _graphs.distances_from(adj, 0, stop=stop, goal=(np.zeros(4), None, 4, 0.0))
+    # so is the blocked mask: too short, or not bool
+    for blocked in (np.zeros(3, bool), np.zeros(4, np.uint8), np.zeros(4)):
+        with pytest.raises(TypeError):
+            _graphs.distances_from(adj, 0, stop=stop, blocked=blocked)
+        with pytest.raises(TypeError):
+            _graphs.min_distance_field(adj, [0, 3], blocked=blocked)
     # a zero field and kappa 0 steer nothing: the plain run
     assert _graphs.distances_from(adj, 0, goal=(np.zeros(4), np.zeros((4, 2)), 3, 0.0)
                                   ).tolist() == _graphs.distances_from(adj, 0).tolist()
@@ -336,47 +342,57 @@ def test_dropped_domains_leave_no_reference_cycles():
 
 
 def _deep_graphs():
-    """(name, matrix, domain) on grids of about 40k vertices, where the heap
-    holds hundreds of entries: a half plane's full and interior matrices,
-    and a slit plane's under random edge lengths."""
+    """(name, matrix, domain, blocked mask or None) on grids of about 40k
+    vertices, where the heap holds hundreds of entries: a half plane's full
+    and interior matrices, and its full one with the boundary mask, then
+    the same three of a slit plane under random edge lengths."""
     hp = generate_domain("half_plane:width=20,depth=20,h=0.1,conn=8")
     sp = generate_domain("slit_plane:depth=5,h=0.1,conn=8")
     lengths = sp.edge_len * np.random.default_rng(3).uniform(0.5, 2.0, sp.n_edges)
     out = []
     for name, d, w in (("half_plane", hp, hp.edge_len), ("slit_random", sp, lengths)):
         full = _graphs.build_adjacency(d.n_vertices, d.edge_u, d.edge_v, w)
-        out.append((f"{name}_full", full, d))
+        out.append((f"{name}_full", full, d, None))
         out.append((f"{name}_interior",
-                    _graphs.drop_incident_edges(full, d.boundary_mask), d))
+                    _graphs.drop_incident_edges(full, d.boundary_mask), d, None))
+        out.append((f"{name}_masked", full, d, d.boundary_mask))
     return out
 
 
 def test_kernel_equals_scipy_on_deep_heaps():
     rng = np.random.default_rng(11)
-    for name, adj, d in _deep_graphs():
+    for name, adj, d, blocked in _deep_graphs():
         assert adj.shape[0] > 40_000
+        # scipy runs on the matrix a blocked run stands for
+        ref = adj if blocked is None else _graphs.drop_incident_edges(adj, blocked)
         for sources in (d.boundary_idx, d.frontier_idx):
-            want = dijkstra(adj, directed=True, indices=sources, min_only=True)
-            assert np.array_equal(_graphs.min_distance_field(adj, sources), want), name
+            want = dijkstra(ref, directed=True, indices=sources, min_only=True)
+            got = _graphs.min_distance_field(adj, sources, blocked)
+            assert np.array_equal(got, want), name
         for root in rng.choice(adj.shape[0], 8, replace=False):
-            full = dijkstra(adj, directed=True, indices=root)
-            assert np.array_equal(_graphs.distances_from(adj, root), full), name
+            full = dijkstra(ref, directed=True, indices=root)
+            assert np.array_equal(_graphs.distances_from(adj, root, blocked=blocked),
+                                  full), name
             reach = np.sort(full[np.isfinite(full)])
             limit = reach[len(reach) // 3]
-            assert np.array_equal(_graphs.distances_from(adj, root, limit),
-                                  dijkstra(adj, directed=True, indices=root,
+            assert np.array_equal(_graphs.distances_from(adj, root, limit, blocked=blocked),
+                                  dijkstra(ref, directed=True, indices=root,
                                            limit=limit)), name
             # stopped at the least dist[m] + offset over random members
             members = rng.choice(adj.shape[0], 6, replace=False)
             offsets = rng.uniform(0.0, 1.0, members.size)
             c = np.min(full[members] + offsets)
-            stopped = _graphs.distances_from(adj, root, stop=(members, offsets))
-            assert np.array_equal(stopped, dijkstra(adj, directed=True,
+            stopped = _graphs.distances_from(adj, root, stop=(members, offsets),
+                                             blocked=blocked)
+            assert np.array_equal(stopped, dijkstra(ref, directed=True,
                                                     indices=root, limit=c)), name
 
 
 def test_min_distance_field_falls_back_to_scipy(monkeypatch):
-    _, adj, d = _deep_graphs()[3]  # the slit plane's interior, random lengths
-    field = _graphs.min_distance_field(adj, d.frontier_idx)
+    # the slit plane's interior matrix, then its full one with the mask
+    cases = _deep_graphs()[4:]
+    fields = [_graphs.min_distance_field(adj, d.frontier_idx, blocked)
+              for _, adj, d, blocked in cases]
     monkeypatch.setattr(_graphs, "_kernel", None)
-    assert np.array_equal(_graphs.min_distance_field(adj, d.frontier_idx), field)
+    for (_, adj, d, blocked), field in zip(cases, fields):
+        assert np.array_equal(_graphs.min_distance_field(adj, d.frontier_idx, blocked), field)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import dijkstra
 
 from confdeform import _graphs, synthesis
@@ -43,15 +43,15 @@ def _edges(spec, metric, seed):
 
 def _view(edges, dom=None):
     """The view a domain makes of these edges: their lengths over the
-    edge-id pattern and its interior, a read-only boundary mask, and the
-    frontier and coordinates of ``dom`` when it is given."""
+    edge-id pattern, a read-only boundary mask, and the frontier and
+    coordinates of ``dom`` when it is given."""
     n, eu, ev, w, boundary = edges
     mask = np.zeros(n, dtype=bool)
     mask[boundary] = True
     mask.flags.writeable = False
     placed = () if dom is None else (dom.frontier_idx, dom.coords)
     ids = _graphs.build_adjacency(n, eu, ev, np.arange(1, eu.size + 1)).astype(np.int32)
-    return _graphs.MetricView(ids, _graphs.drop_incident_edges(ids, mask), w, mask, *placed)
+    return _graphs.MetricView(ids, w, mask, *placed)
 
 
 def _rebuilt(n, eu, ev, w, boundary, ia, ib):
@@ -70,6 +70,17 @@ def _rebuilt(n, eu, ev, w, boundary, ia, ib):
         return dist[other], None
     path = _graphs.extract_path(adj, dist, root, other)
     return dist[other], path if path[0] == ia else path[::-1]
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _exact_to(dist, full, c):
+    """Whether ``dist`` is the array of a run exact up to a radius of at
+    least ``c``: ``full`` up to that radius, ``inf`` beyond it."""
+    r = max(c, np.max(dist, initial=-np.inf, where=np.isfinite(dist)))
+    return _same(dist, np.where(full <= r, full, np.inf))
 
 
 def _py_walk(adj, dist, source, target):
@@ -92,8 +103,33 @@ def _pair_suite(spec, metric, seed):
         _every_pair(edges, dom)
 
 
+def _masked_runs(edges, dom):
+    """Every rooted run of a view, boundary roots included, bounded,
+    stopped at the frontier and steered there, and its frontier field,
+    bitwise against scipy on the source-directed reference: the view's
+    full matrix without the entries into boundary vertices."""
+    view = _view(edges, dom)
+    ref = _graphs.drop_incident_edges(view.full, view.boundary_mask)
+    frontier = view.frontier_idx
+    if frontier.size:
+        assert _same(view.frontier_field, dijkstra(ref, indices=frontier, min_only=True))
+    for root in range(edges[0]):
+        full = dijkstra(ref, indices=root)
+        if frontier.size:
+            c = np.min(full[frontier])
+            dist, got = _view(edges, dom).nearest(root, frontier)
+            assert got == c and _exact_to(dist, full, c)
+            dist, got = view.nearest(root, frontier, goal=("frontier_field", -1))
+            reached = np.isfinite(dist)
+            assert got == c and _same(dist[reached], full[reached])
+        assert _same(view.run(root), full)
+        for limit in np.unique(full[np.isfinite(full)])[::2]:
+            assert _same(view.run(root, limit), dijkstra(ref, indices=root, limit=limit))
+
+
 def _every_pair(edges, dom):
     n = edges[0]
+    _masked_runs(edges, dom)
     for ia in range(n):
         for ib in range(ia + 1, n):
             want, want_path = _rebuilt(*edges, ia, ib)
@@ -163,10 +199,6 @@ def test_bounded_runs_are_exact_where_they_reach(spec, metric, seed):
             assert (full[~reached] > limit).all()
 
 
-def _same(a, b):
-    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 @settings(max_examples=24, deadline=None)
 @given(st.sampled_from(SMALL_SPECS), st.sampled_from(["base", "phi", "random"]),
        st.integers(min_value=0, max_value=10_000))
@@ -174,13 +206,12 @@ def test_kernel_runs_and_walks_match_scipy(spec, metric, seed):
     edges = _edges(spec, metric, seed)
     view = _view(edges)
     frontier = generate_domain(spec).frontier_idx
+    interior = view.interior
+    # the kernel on the interior reference, and on the full matrix with the
+    # boundary mask, each bitwise against scipy on the reference
+    inputs = ((interior, None), (view.full, view.boundary_mask))
     for root in range(edges[0]):
-        full = dijkstra(view.interior, directed=True, indices=root)
-        assert _same(_graphs.distances_from(view.interior, root), full)
-        for limit in np.unique(full[np.isfinite(full)])[::3]:
-            assert _same(_graphs.distances_from(view.interior, root, limit),
-                         dijkstra(view.interior, directed=True, indices=root,
-                                  limit=limit))
+        full = dijkstra(interior, directed=True, indices=root)
         # stop sets: each pair target's full row (interior and boundary
         # targets alike), and the frontier at offset 0
         stops = [(view.full.indices[view.full.indptr[t]:view.full.indptr[t + 1]],
@@ -188,25 +219,25 @@ def test_kernel_runs_and_walks_match_scipy(spec, metric, seed):
                  for t in range(edges[0]) if t != root]
         if frontier.size:
             stops.append((frontier, np.zeros(frontier.size)))
-        for members, offsets in stops:
-            c = np.min(full[members] + offsets)
-            got = _graphs.distances_from(view.interior, root, stop=(members, offsets))
-            want = (full if np.isinf(c) else
-                    dijkstra(view.interior, directed=True, indices=root, limit=c))
-            assert _same(got, want)
+        for adj, blocked in inputs:
+            assert _same(_graphs.distances_from(adj, root, blocked=blocked), full)
+            for limit in np.unique(full[np.isfinite(full)])[::3]:
+                assert _same(_graphs.distances_from(adj, root, limit, blocked=blocked),
+                             dijkstra(interior, directed=True, indices=root,
+                                      limit=limit))
+            for members, offsets in stops:
+                c = np.min(full[members] + offsets)
+                got = _graphs.distances_from(adj, root, stop=(members, offsets),
+                                             blocked=blocked)
+                want = (full if np.isinf(c) else
+                        dijkstra(interior, directed=True, indices=root, limit=c))
+                assert _same(got, want)
         for target in np.flatnonzero(np.isfinite(full)):
             path = _graphs.extract_path(view.full, full, root, int(target))
             assert path.tolist() == _py_walk(view.full, full, root, int(target))
 
 
 # -- one view's runs leave nothing behind -------------------------------------
-
-
-def _exact_to(dist, full, c):
-    """Whether ``dist`` is the array of a run exact up to a radius of at
-    least ``c``: ``full`` up to that radius, ``inf`` beyond it."""
-    r = max(c, np.max(dist, initial=-np.inf, where=np.isfinite(dist)))
-    return _same(dist, np.where(full <= r, full, np.inf))
 
 
 @pytest.mark.parametrize("metric", ["base", "phi", "random"])
@@ -343,12 +374,18 @@ def test_one_boundary_mask_per_domain(monkeypatch):
     assert np.flatnonzero(mask).tolist() == sorted(dom.boundary_idx.tolist())
     dd = deform(dom, W2)
     assert dd.view.boundary_mask is mask and dom.view.boundary_mask is mask
-    # the domain built its pattern when it was validated, and masks the
-    # interior pattern once; both metrics gather over the two
-    for matrix in (dom.adjacency_interior, dd.adjacency_phi_interior,
-                   dd.adjacency_phi, dom.adjacency_interior):
-        assert matrix.nnz
-    assert len(builds) == 0 and len(drops) == 1
+    # the domain built its pattern when it was validated; each metric's runs
+    # and fields read the mask, and no query drops an entry from a matrix
+    b, x = int(dom.ids[dom.boundary_idx[3]]), dom.nearest_vertex(0.5, 2.0)
+    assert dom.distance(b, x) > 0.0 and dd.dphi_geodesic(b, x).total_phi > 0.0
+    assert dd.frontier_field_phi.size and dom.frontier_field.size
+    assert dd.dist_to_infinity(b).upper > 0.0 and dd.dist_to_infinity(x).upper > 0.0
+    assert builds == [] and drops == []
+    # each view holds one matrix; the interior reference is built per read
+    for view in (dom.view, dd.view):
+        assert [a for a in vars(view).values() if issparse(a)] == [view.full]
+        assert view.interior is not view.interior
+    assert builds == [] and len(drops) == 4
 
 
 def test_metrics_share_one_pattern(monkeypatch):
@@ -356,8 +393,8 @@ def test_metrics_share_one_pattern(monkeypatch):
     drops = _counted(monkeypatch, "drop_incident_edges")
     dom = half_plane(width=4, depth=8, h=0.25, conn=8)
     assert len(builds) == 1 and dom.edge_ids.data.dtype == np.int32
-    # three deformations, every view used: no build and no mask but the
-    # domain's own, and every matrix shares the pattern's index arrays
+    # three deformations, every view used: no build and no mask, and each
+    # view's one matrix shares the pattern's index arrays
     for weight in (W2, WeightFunction.power(3), WeightFunction.power(2)):
         dd = deform(dom, weight)
         assert dd.dphi_distance(int(dom.ids[dom.boundary_idx[3]]),
@@ -365,11 +402,10 @@ def test_metrics_share_one_pattern(monkeypatch):
         assert dd.dphi_geodesic(dom.nearest_vertex(-1.5, 6.0),
                                 dom.nearest_vertex(1.0, 0.5)).total_d > 0.0
         assert dd.frontier_field_phi.size and dom.frontier_field.size
-        for base, phi in ((dom.adjacency, dd.adjacency_phi),
-                          (dom.adjacency_interior, dd.adjacency_phi_interior)):
-            assert np.shares_memory(base.indices, phi.indices)
-            assert np.shares_memory(base.indptr, phi.indptr)
-    assert len(builds) == 1 and len(drops) == 1
+        for view in (dom.view, dd.view):
+            assert np.shares_memory(view.full.indices, dom.edge_ids.indices)
+            assert np.shares_memory(view.full.indptr, dom.edge_ids.indptr)
+    assert len(builds) == 1 and drops == []
 
 
 def test_distance_then_geodesic_runs_once(warm, monkeypatch):
