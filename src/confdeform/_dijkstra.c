@@ -9,14 +9,15 @@
  *
  * A run may carry a goal potential h (A*: Hart, Nilsson and Raphael, 1968;
  * landmark differences: Goldberg and Harrelson, 2005).  The heap key is then
- * g + h(v) while dist keeps g, with
- *     h(v) = (1 - 2^-10) max(|field[v] - field_t|, kappa |xy[v] - xy_t|).
- * A 1-Lipschitz field and kappa at most every edge's length over its chord
+ * g + h(v) while dist keeps g, with, over a stack of k fields,
+ *     h(v) = (1 - 2^-10) max(|field_1[v] - field_1[t]|, ...,
+ *                            |field_k[v] - field_k[t]|, kappa |xy[v] - xy[t]|).
+ * 1-Lipschitz fields and kappa at most every edge's length over its chord
  * make h consistent; the shrink leaves each edge a margin of 2^-10 w, far
  * above the few ulps the floats put into h and into the keys, so each
  * vertex a run settles gets the same fixed-point value, and every vertex on
  * a shortest or tied path to the goal has a key below the stop value c.
- * A null field and null xy give h = 0: the plain run, bit for bit.
+ * No field and a null xy give h = 0: the plain run, bit for bit.
  * A run never enters a vertex of the blocked mask, though a root may be one:
  * bit for bit the run on the matrix without the entries into them (null: none).
  * Build with -O2 and without -ffast-math: the sums must round as numpy's.
@@ -76,19 +77,25 @@ static inline int32_t member(const int32_t *slot, int32_t n_stop,
     return k < (uint32_t)n_stop && stop[k] == v ? (int32_t)k : -1;
 }
 
+/* The most fields a goal may stack, read by the loader. */
+#define CD_MAX_FIELDS 8
+const int32_t cd_max_fields = CD_MAX_FIELDS;
+
 /* The goal of a run: h(v) of the header, 0 without a field and xy. */
 typedef struct {
-    const double *field, *xy;
-    double field_t, x_t, y_t, kappa;
+    const double *const *field, *xy;
+    int32_t n_field;
+    double field_t[CD_MAX_FIELDS], x_t, y_t, kappa;
 } goal;
 
-/* The NaN of inf - inf (v and the goal both out of the field's reach) fails
+/* The NaN of inf - inf (v and the goal both out of a field's reach) fails
  * the > test, which leaves h at most the distance. */
 static inline double potential(const goal *g, int32_t v)
 {
     double h = 0.0, a;
-    if (g->field && (a = fabs(g->field[v] - g->field_t)) > h)
-        h = a;
+    for (int32_t i = 0; i < g->n_field; i++)
+        if ((a = fabs(g->field[i][v] - g->field_t[i])) > h)
+            h = a;
     if (g->xy) {
         double dx = g->xy[2 * v] - g->x_t, dy = g->xy[2 * v + 1] - g->y_t;
         if ((a = g->kappa * sqrt(dx * dx + dy * dy)) > h)
@@ -118,11 +125,11 @@ double cd_kappa(int32_t n, const int32_t *indptr, const int32_t *indices,
 /* Distances from the nearest of the n_root roots into dist (all inf on
  * entry); every root starts at 0.  An edge relaxes only when
  * dist[u] + w <= limit.  The heap key is dist[v] + h(v), h the potential
- * toward vertex t, or toward the zeros of field for t < 0 (field may be
- * null; xy is read only for t >= 0 and kappa > 0).  The run stops once the
- * least key exceeds c = min(dist[v] + offset) over the stop members settled
- * so far; every vertex it did not settle then reads inf, so without a goal
- * dist is that of limit = c.
+ * toward vertex t, or toward the zeros of the n_field fields (at most
+ * CD_MAX_FIELDS) for t < 0; xy is read only for t >= 0 and kappa > 0.
+ * The run stops once the least key exceeds c = min(dist[v] + offset) over
+ * the stop members settled so far; every vertex it did not settle then
+ * reads inf, so without a goal dist is that of limit = c.
  * The first n_order vertices it settles go to order, in settling order.
  * Returns the number of vertices settled, or -1 when out of memory.
  * No n-sized array is cleared, so a run costs what it touches: pos[u] is
@@ -132,16 +139,17 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
                     const double *data, int32_t n_root, const int32_t *roots,
                     double limit, int32_t n_stop, const int32_t *stop,
                     const double *offset, double *dist, int32_t n_order,
-                    int32_t *order, const double *field, const double *xy,
-                    int32_t t, double kappa, const uint8_t *blocked)
+                    int32_t *order, int32_t n_field, const double *const *field,
+                    const double *xy, int32_t t, double kappa,
+                    const uint8_t *blocked)
 {
     int32_t *pos = malloc(n * sizeof *pos), *slot = malloc(n * sizeof *slot);
     entry *heap = malloc(n * sizeof *heap);
     int32_t size = 0, settled = 0;
     double c = INFINITY;
-    goal to = {field, t >= 0 && kappa > 0 ? xy : NULL, 0.0, 0.0, 0.0, kappa};
-    if (t >= 0 && field)
-        to.field_t = field[t];
+    goal to = {field, t >= 0 && kappa > 0 ? xy : NULL, n_field, {0.0}, 0.0, 0.0, kappa};
+    for (int32_t i = 0; i < n_field && t >= 0; i++)
+        to.field_t[i] = field[i][t];
     if (to.xy)
         to.x_t = xy[2 * t], to.y_t = xy[2 * t + 1];
     if (!pos || !slot || !heap) {

@@ -46,7 +46,7 @@ def _load_kernel():
         return None
     i32, i64, f64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p,
-                                   p, p, i32, f64, p]
+                                   i32, p, p, i32, f64, p]
     kernel.cd_kappa.argtypes, kernel.cd_kappa.restype = [i32, p, p, p, p], f64
     kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, p]
     kernel.cd_edge_ids.argtypes, kernel.cd_edge_ids.restype = [i64, p, p, p, p, p, p], None
@@ -57,6 +57,7 @@ def _load_kernel():
 
 
 _kernel = _load_kernel()
+_MAX_FIELDS = ctypes.c_int32.in_dll(_kernel, "cd_max_fields").value if _kernel else 0
 
 
 def _ptr(arr, dtype, size=0):
@@ -95,8 +96,9 @@ def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None, b
     """Single-source distances; unreached vertices get ``inf``.  ``stop``,
     (members, offsets), ends the run once the heap minimum exceeds
     ``c = min(dist[members] + offsets)``: the array is then that of
-    ``limit=c``, or steered by ``goal`` ((field, coords, t, kappa) of
-    ``_dijkstra.c``), exact where it settled.  ``into``, a :class:`RunBuffer`,
+    ``limit=c``, or steered by ``goal`` ((fields, coords, t, kappa) of
+    ``_dijkstra.c``; fields: one float64 array per vertex, or a sequence of
+    them), exact where it settled.  ``into``, a :class:`RunBuffer`,
     takes the distances in place of a new array.  ``blocked``, a bool mask,
     gives the run on ``drop_incident_edges(adj, blocked)``.  scipy, run where
     the kernel cannot, ignores ``stop``, ``into`` and ``goal``."""
@@ -144,11 +146,16 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocke
     """Distances from the nearest of ``roots``, each starting at 0, through
     the kernel, or scipy where it cannot run (see :func:`distances_from`)."""
     members, offsets = (np.empty(0), 0.0) if stop is None else stop
-    field, xy, target, kappa = goal or (None, None, -1, 0.0)
-    csr = _csr(adj, roots, members, max(target, 0))  # -1: the field's zeros
+    fields, xy, target, kappa = goal or ((), None, -1, 0.0)
+    csr = _csr(adj, roots, members, max(target, 0))  # -1: the fields' zeros
     if csr is None:
         return dijkstra(adj if blocked is None else drop_incident_edges(adj, blocked),
                         directed=True, indices=roots, limit=limit, min_only=True)
+    if isinstance(fields, np.ndarray) and fields.ndim == 1:
+        fields = (fields,)
+    if len(fields) > _MAX_FIELDS or any(np.shape(f) != (csr[0],) for f in fields):
+        raise TypeError(f"the kernel takes up to {_MAX_FIELDS} fields of {csr[0]} entries")
+    fields = np.array([_ptr(f, "f8") for f in fields], np.uintp)  # the addresses
     roots = np.ascontiguousarray(roots, dtype=np.int32)
     members = np.ascontiguousarray(members, dtype=np.int32)
     offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape), float)
@@ -157,7 +164,7 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocke
     settled = _kernel.cd_dijkstra(
         *csr, len(roots), _ptr(roots, "i4"), limit, len(members), _ptr(members, "i4"),
         _ptr(offsets, "f8"), _ptr(dist, "f8"), len(order), _ptr(order, "i4"),
-        *(None if a is None else _ptr(a, "f8", k * csr[0]) for a, k in ((field, 1), (xy, 2))),
+        len(fields), fields.ctypes.data, None if xy is None else _ptr(xy, "f8", 2 * csr[0]),
         target, kappa, None if blocked is None else _ptr(blocked, "?", csr[0]))
     if settled < 0:
         raise MemoryError("no memory for a Dijkstra run")
@@ -281,6 +288,15 @@ class MetricView:
     alike; paths are extracted there too.  Pair answers and the latest run
     are kept, no array per root (5 MB each at 641k vertices).
 
+    The pair potential is the largest of ``|f[v] - f[t]|`` over
+    ``pair_fields`` and the chord bound.  Those fields are ``boundary_field``
+    and, with ``landmarks`` > 0, the distances from as many landmark vertices
+    of the full matrix, picked by farthest-point selection (Goldberg and
+    Harrelson, 2005): the first farthest from the deepest vertex, each next
+    farthest from those picked.  They bound sideways distance where the
+    chord bound cannot, as under the deformed metric, whose least length per
+    chord is tiny; the first steered pair query builds them.
+
     Stopped runs fill one :class:`RunBuffer` of the view, so a run that
     settles a few vertices costs that few, not ``n``: before the next run
     the view resets the entries the latest one settled.  A run that
@@ -291,7 +307,8 @@ class MetricView:
 
     MEMO_SIZE = 256
 
-    def __init__(self, edges, lengths, boundary_mask, frontier_idx=(), coords=None):
+    def __init__(self, edges, lengths, boundary_mask, frontier_idx=(), coords=None,
+                 landmarks=4):
         self.full = csr_matrix((lengths[edges.data - 1], edges.indices, edges.indptr),
                                shape=edges.shape)
         self.boundary_mask = boundary_mask
@@ -299,11 +316,23 @@ class MetricView:
         self.coords = None if coords is None else np.ascontiguousarray(coords, float)
         self._memo = {}  # (root, other) -> distance, oldest first
         self._last = None  # (root, goal, radius up to which it is exact, dist)
-        self._steers = {}  # field name -> whether its potential may steer
+        self._steers = {}  # field name -> those of its fields that may steer
+        self.landmarks = landmarks
 
     @cached_property
     def boundary_field(self):  # through the boundary is never shorter
         return min_distance_field(self.full, np.flatnonzero(self.boundary_mask))
+
+    @cached_property
+    def pair_fields(self):
+        """``boundary_field`` and the landmark fields (see the class docstring)."""
+        def farthest(field):
+            return [int(np.argmax(np.where(np.isfinite(field), field, -1.0)))]
+        near, sweeps = self.boundary_field, []
+        for _ in range(self.landmarks + 1 if self.landmarks else 0):  # a seed sweep first
+            sweeps.append(min_distance_field(self.full, farthest(near)))
+            near = sweeps[-1] if len(sweeps) < 3 else np.minimum(near, sweeps[-1])
+        return (self.boundary_field, *sweeps[1:])
 
     interior = property(lambda self: drop_incident_edges(self.full, self.boundary_mask))
 
@@ -318,15 +347,18 @@ class MetricView:
         return _kernel.cd_kappa(*csr, _ptr(self.coords, "f8", 2 * csr[0])) if csr else 0.0
 
     def _goal(self, name, target):
-        """The kernel's goal toward vertex ``target`` (-1: the field's zeros)
-        by the field ``name`` and the coordinates; None where the least edge
-        is below 2**-30 of the field's largest finite value (the margin of
-        2**-10 per edge must dwarf the rounding of the keys)."""
-        field = getattr(self, name)
+        """The kernel's goal toward vertex ``target`` (-1: the fields' zeros)
+        by the coordinates and the field or fields ``name`` names, less each
+        field whose largest finite value exceeds 2**30 times the least edge
+        (the margin of 2**-10 per edge must dwarf the rounding of the keys);
+        None when no field is left."""
         if name not in self._steers:
-            top = np.max(field, initial=0.0, where=np.isfinite(field))
-            self._steers[name] = np.min(self.full.data, initial=np.inf) >= 2.0 ** -30 * top
-        return (field, self.coords, target, self._kappa) if self._steers[name] else None
+            fields, least = getattr(self, name), np.min(self.full.data, initial=np.inf)
+            self._steers[name] = tuple(
+                f for f in ((fields,) if isinstance(fields, np.ndarray) else fields)
+                if least >= 2.0 ** -30 * np.max(f, initial=0.0, where=np.isfinite(f)))
+        fields = self._steers[name]
+        return (fields, self.coords, target, self._kappa) if fields else None
 
     @cached_property
     def _buffer(self):
@@ -351,7 +383,7 @@ class MetricView:
             c = float(np.min(last[3][members] + offsets, initial=np.inf))
             if c <= last[2] or (goal is not None and goal == last[1]):
                 return last[3], c
-        steer = goal and self._goal(*goal)
+        steer = goal and _kernel and self._goal(*goal)  # scipy ignores goals
         stop, buf = (members, offsets), self._buffer
         buf.dist[buf.order[:buf.settled]] = np.inf
         buf.settled = 0
@@ -393,7 +425,7 @@ class MetricView:
         root, other = min(int(ia), int(ib)), max(int(ia), int(ib))
         row = slice(self.full.indptr[other], self.full.indptr[other + 1])
         dist, value = self.nearest(root, self.full.indices[row], self.full.data[row],
-                                   ("boundary_field", other))
+                                   ("pair_fields", other))
         self._memo[(root, other)] = value
         if len(self._memo) > self.MEMO_SIZE:
             del self._memo[next(iter(self._memo))]

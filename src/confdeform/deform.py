@@ -98,8 +98,10 @@ class DeformedDomain:
 
     @cached_property
     def view(self):
-        """Deformed-metric view: pair queries, rooted runs and geodesics."""
-        return self.domain.metric_view(self.edge_len_phi)
+        """Deformed-metric view: pair queries, rooted runs and geodesics,
+        steered by four landmarks, as the deformation packs the deep part of
+        the domain into a short region and leaves the chord bound slack."""
+        return self.domain.metric_view(self.edge_len_phi, landmarks=4)
 
     adjacency_phi = property(lambda self: self.view.full)
     adjacency_phi_interior = property(lambda self: self.view.interior)

@@ -152,15 +152,17 @@ class MetricDomain:
 
     # -- adjacency views ---------------------------------------------------
 
-    def metric_view(self, lengths):
-        """Queries under the per-edge ``lengths``: a gather over the pattern."""
+    def metric_view(self, lengths, landmarks):
+        """Queries under the per-edge ``lengths``: a gather over the pattern,
+        pair queries steered by ``landmarks`` landmark fields too."""
         return _graphs.MetricView(self.edge_ids, lengths, self.boundary_mask,
-                                  self.frontier_idx, self.coords)
+                                  self.frontier_idx, self.coords, landmarks)
 
     @cached_property
     def view(self):
-        """Base-metric view: pair queries, rooted runs and geodesics."""
-        return self.metric_view(self.edge_len)
+        """Base-metric view: pair queries, rooted runs and geodesics.  No
+        landmarks: the chord bound already bounds base pairs sideways."""
+        return self.metric_view(self.edge_len, landmarks=0)
 
     # the base metric's CSR adjacency, and its source-directed reference (built per read)
     adjacency = property(lambda self: self.view.full)

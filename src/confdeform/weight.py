@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class WeightError(ValueError):
@@ -260,6 +259,8 @@ class WeightFunction:
         if self.kind == "power":
             return head + a ** (1.0 - self.beta) / (self.beta - 1.0)
         if self.kind == "power_log":
+            from scipy.integrate import quad  # costs a CLI start-up 0.3 s at module level
+
             val, _ = quad(
                 lambda t: t ** -self.beta * (1.0 + math.log(t)) ** -self.kappa,
                 a, np.inf,

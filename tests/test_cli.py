@@ -403,6 +403,21 @@ def test_malformed_meta_in_domain_file_exits_2(tmp_path, monkeypatch, meta,
     assert fragment in err
 
 
+def _env():
+    """The environment of a child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_cli_start_up_leaves_out_scipy_integrate():
+    # only power_log's integral_tail integrates, and pays for the import
+    code = "import sys, confdeform.cli; print('scipy.integrate' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=_env(), timeout=60)
+    assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+
+
 def test_sparse_interiors_end_in_time(tmp_path):
     # one boundary vertex and one interior vertex: no walk can leave its
     # start and no pair has two interior ends; each command, run in a
@@ -410,9 +425,7 @@ def test_sparse_interiors_end_in_time(tmp_path):
     path = tmp_path / "two.json"
     path.write_text(json.dumps({"vertices": [{"id": 0}, {"id": 1}],
                                 "edges": [[0, 1, 1.0]], "boundary": [0]}))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = _env()
     common = ["--domain", str(path), "--weight", W, "--cu", "2", "--cq", "1",
               "--no-timestamp"]
 

@@ -320,6 +320,29 @@ def test_goal_arrays_are_checked_before_the_kernel_reads_them():
                                   ).tolist() == _graphs.distances_from(adj, 0).tolist()
 
 
+def test_field_stacks_are_checked_before_the_kernel_reads_them():
+    adj, stop, field = _diamond(), (np.array([3]), 0.0), np.zeros(4)
+    cap = _graphs._MAX_FIELDS
+    for fields in ([field, np.zeros(3)], [field, np.zeros(5)],  # a wrong length
+                   [field, np.zeros(4, np.float32)], [np.zeros(8)[::2]],  # dtype, strides
+                   [field] * (cap + 1), np.zeros((cap + 1, 4))):  # past the cap
+        with pytest.raises(TypeError):
+            _graphs.distances_from(adj, 0, stop=stop, goal=(fields, None, 3, 0.0))
+    # the rows of a (k, n) array are a stack, and a full stack of fields
+    # passed as plain arrays leaves no reference cycle behind
+    plain = _graphs.distances_from(adj, 0, stop=stop)
+    dist = _graphs.distances_from(adj, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        for fields in ([dist] * cap, np.stack([dist, np.zeros(4)])):
+            steered = _graphs.distances_from(adj, 0, stop=stop, goal=(fields, None, 3, 0.0))
+            assert steered.tolist() == plain.tolist()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_dropped_domains_leave_no_reference_cycles():
     # the views hold arrays, never their domain: pair queries on both views
     # and a boundary escape leave nothing for the garbage collector when the

@@ -1,6 +1,8 @@
 """The shared query engine: exact equivalence with rebuilt matrices, exact
 bounded runs, and no rebuilt matrix or repeated run on a warm domain."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import dijkstra
 
-from confdeform import _graphs, synthesis
+from confdeform import _graphs, cli, synthesis
 from confdeform.curves import Curve, subcurve_excess_ratio, uniformity_constant
 from confdeform.deform import deform
 from confdeform.domain import MetricDomain, generate_domain, half_plane
@@ -663,3 +665,85 @@ def test_steered_runs_settle_a_fraction_of_plain_ones():
     fr = dom.frontier_idx
     path = _graphs.descend(dd.view.full, escape, int(fr[np.argmin(escape[fr])]))
     assert settled < 4 * len(path)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scipy"])
+def test_landmarks_steer_sideways_deformed_pairs(engine, monkeypatch):
+    # from the boundary at x = -8 to (8, 15): under the deformed metric the
+    # chord bound is slack and the boundary field bounds only the depth
+    # difference; the landmarks bound the sideways distance
+    if engine == "scipy":
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    dom = generate_domain("half_plane:width=20,depth=20,h=0.1")
+    view = deform(dom, W2).view
+    a, b = dom.index(dom.nearest_vertex(-8.0, 0.0)), dom.index(dom.nearest_vertex(8.0, 15.0))
+    value, path, plain = _plain(view, a, b)
+    got, got_path = view.geodesic(a, b)
+    assert _same(np.float64(got), np.float64(value))
+    assert got_path.tolist() == path.tolist()
+    # farthest-point selection lands on the boundary row
+    marks = [tuple(dom.coords[np.argmin(f)]) for f in view.pair_fields[1:]]
+    assert marks == [(10.0, 0.0), (-10.0, 0.0), (0.0, 0.0), (-5.0, 0.0)]
+    if engine == "scipy":
+        return
+    # vertices settled by the same stopped run under each potential
+    root, other = min(a, b), max(a, b)
+    lo, hi = view.full.indptr[other], view.full.indptr[other + 1]
+    stop = (view.full.indices[lo:hi], view.full.data[lo:hi])
+    settled = []
+    for fields in ((view.boundary_field,), view.pair_fields):
+        buf = _graphs.RunBuffer(view.full.shape[0], 0)
+        _graphs.distances_from(view.full, root, stop=stop, into=buf, blocked=view.boundary_mask,
+                               goal=(fields, view.coords, other, view._kappa))
+        settled.append(buf.settled)
+    assert [plain, *settled] == [25_604, 18_862, 3_898]
+    assert settled[1] <= plain / 4
+
+
+def _sweeps(monkeypatch):
+    """The source count of every ``min_distance_field`` sweep; it grows per call."""
+    sizes, sweep = [], _graphs.min_distance_field
+
+    def counted(adj, sources, blocked=None):
+        sizes.append(np.size(sources))
+        return sweep(adj, sources, blocked)
+
+    monkeypatch.setattr(_graphs, "min_distance_field", counted)
+    return sizes
+
+
+def test_landmarks_are_built_once_on_the_first_deformed_pair_query(warm, monkeypatch):
+    dom, dd = warm
+    fresh = deform(dom, W2)
+    for view in (dom.view, dd.view, fresh.view):
+        view.boundary_field, view.frontier_field
+    sweeps = _sweeps(monkeypatch)
+    x, y, z = (dom.nearest_vertex(-1.5, 6.0), dom.nearest_vertex(1.0, 0.5),
+               dom.nearest_vertex(1.5, 3.0))
+    # base pairs steer by the boundary field alone
+    assert dom.distance(x, y) > 0.0 and dom.view.geodesic(dom.index(x), dom.index(z))[0] > 0.0
+    assert sweeps == [] and len(dom.view.pair_fields) == 1
+    # set-up and escapes build no landmark
+    assert fresh.dist_to_infinity(int(dom.ids[dom.boundary_idx[3]])).upper > 0.0
+    assert fresh.view.run(fresh.domain.index(x)).size and sweeps == []
+    assert "pair_fields" not in vars(fresh.view)
+    # the first steered deformed pair query: a seed sweep and four landmarks
+    assert dd.dphi_distance(x, y) > 0.0
+    assert sweeps == [1] * 5 and len(dd.view.pair_fields) == 5
+    assert dd.dphi_geodesic(y, z).total_phi > 0.0 and dd.dphi_distance(x, z) > 0.0
+    assert sweeps == [1] * 5
+    # each deformed view builds its own
+    assert fresh.dphi_distance(x, z) == dd.dphi_distance(x, z)
+    assert sweeps == [1] * 10
+
+
+def test_check_builds_no_landmarks(monkeypatch):
+    # confdeform check makes no deformed pair query, so every sweep it
+    # makes is a field from a set of vertices, never a landmark's
+    sweeps = _sweeps(monkeypatch)
+    argv = ["check", "--domain", "half_plane:width=4,depth=8,h=0.25,conn=8",
+            "--weight", "power:beta=2", "--samples", "20", "--seed", "1",
+            "--cu", "2", "--cq", "1", "--no-timestamp"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert sweeps and min(sweeps) > 1
