@@ -206,14 +206,15 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
 }
 
 /* Walk from start down dist to the first vertex where it is 0, into path;
- * each step takes the smallest u with dist[u] + w(u, v) == dist[v].  On a
- * run from one root (positive weights) that vertex is the root; on a
- * field from many, the walk is a shortest path from start to a nearest
- * root.  Returns the length, -1 when a vertex has no such u, or -2 when
- * the walk would exceed n vertices. */
+ * each step takes the smallest u with dist[u] + w(u, v) == dist[v], and
+ * pos[i] is the entry j of row path[i] at which it took path[i + 1].  On a
+ * run from one root (positive weights) that vertex is the root; on a field
+ * from many, the walk is a shortest path from start to a nearest root.
+ * Returns the length, -1 when a vertex has no such u, or -2 when the walk
+ * would exceed n vertices. */
 int32_t cd_walk(int32_t n, const int32_t *indptr, const int32_t *indices,
                 const double *data, const double *dist, int32_t start,
-                int64_t *path)
+                int64_t *path, int64_t *pos)
 {
     int32_t len = 1, v = start;
     path[0] = v;
@@ -221,30 +222,14 @@ int32_t cd_walk(int32_t n, const int32_t *indptr, const int32_t *indices,
         int32_t best = -1;
         for (int32_t j = indptr[v]; j < indptr[v + 1]; j++)
             if (dist[indices[j]] + data[j] == dist[v]
-                    && (best < 0 || indices[j] < best))
-                best = indices[j];
+                    && (best < 0 || indices[j] < indices[best]))
+                best = j;
         if (best < 0)
             return -1;
         if (len == n)
             return -2;
-        path[len++] = v = best;
+        pos[len - 1] = best;
+        path[len++] = v = indices[best];
     }
     return len;
-}
-
-/* The edge id of each step u[i] -> v[i] on an edge-id CSR, whose entries
- * hold the id plus one: ids[i] = data[j] - 1 for the j in row u[i] with
- * indices[j] == v[i], or -1 where the row has no such entry. */
-void cd_edge_ids(int64_t k, const int64_t *u, const int64_t *v,
-                 const int32_t *indptr, const int32_t *indices,
-                 const int32_t *data, int64_t *ids)
-{
-    for (int64_t i = 0; i < k; i++) {
-        ids[i] = -1;
-        for (int32_t j = indptr[u[i]]; j < indptr[u[i] + 1]; j++)
-            if (indices[j] == v[i]) {
-                ids[i] = (int64_t)data[j] - 1;
-                break;
-            }
-    }
 }

@@ -48,8 +48,7 @@ def _load_kernel():
     kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p,
                                    i32, p, p, i32, f64, p]
     kernel.cd_kappa.argtypes, kernel.cd_kappa.restype = [i32, p, p, p, p], f64
-    kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, p]
-    kernel.cd_edge_ids.argtypes, kernel.cd_edge_ids.restype = [i64, p, p, p, p, p, p], None
+    kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, p, p]
     kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p, p, p]
     kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
     kernel.cd_scan.restype = ctypes.c_int
@@ -174,10 +173,11 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocke
 
 
 def descend(adj, dist, start):
-    """Vertex indices from ``start`` down ``dist`` to the first vertex at 0, each
-    step to the least-index neighbour u with ``dist[u] + w(u, v) == dist[v]``
-    (exact: the relaxation parent satisfies it).  On a run's array that is the
-    root; on a :func:`min_distance_field`, a nearest source by a shortest path."""
+    """(vertex indices, entries of ``adj`` taken) of the walk from ``start`` down
+    ``dist`` to the first vertex at 0, each step to the least-index neighbour u
+    with ``dist[u] + w(u, v) == dist[v]`` (exact: the relaxation parent satisfies
+    it).  On a run's array the walk ends at the root; on a
+    :func:`min_distance_field`, at a nearest source by a shortest path."""
     start = int(start)
     if not np.isfinite(dist[start]):
         raise ValueError(f"vertex {start} has no finite distance to walk down")
@@ -186,28 +186,30 @@ def descend(adj, dist, start):
               -2: "path extraction cycled; inconsistent distances"}
     csr, n = _csr(adj, start), adj.shape[0]
     if csr is not None:
-        dist, path = np.ascontiguousarray(dist, float), np.empty(n, dtype=np.int64)
+        dist, walk = np.ascontiguousarray(dist, float), np.empty((2, n), dtype=np.int64)
         if dist.shape != (n,):
             raise ValueError(f"distance array of shape {dist.shape} for {n} vertices")
-        k = _kernel.cd_walk(*csr, _ptr(dist, "f8"), start, _ptr(path, "i8"))
+        k = _kernel.cd_walk(*csr, _ptr(dist, "f8"), start, _ptr(walk[0], "i8"),
+                            _ptr(walk[1], "i8"))
         if k < 0:
             raise RuntimeError(errors[k])
-        return path[:k].copy()
-    path = [start]
+        return walk[0, :k].copy(), walk[1, :k - 1].copy()
+    path, entries = [start], []
     while dist[path[-1]] != 0:
         lo, hi = adj.indptr[path[-1]], adj.indptr[path[-1] + 1]
         nbrs = adj.indices[lo:hi]
-        nbrs = nbrs[dist[nbrs] + adj.data[lo:hi] == dist[path[-1]]]
-        if nbrs.size == 0 or len(path) == n:
-            raise RuntimeError(errors[-1 if nbrs.size == 0 else -2])
-        path.append(int(nbrs.min()))
-    return np.asarray(path, dtype=np.int64)
+        exact = np.flatnonzero(dist[nbrs] + adj.data[lo:hi] == dist[path[-1]])
+        if exact.size == 0 or len(path) == n:
+            raise RuntimeError(errors[-1 if exact.size == 0 else -2])
+        entries.append(lo + int(exact[np.argmin(nbrs[exact])]))
+        path.append(int(adj.indices[entries[-1]]))
+    return np.asarray(path, dtype=np.int64), np.asarray(entries, dtype=np.int64)
 
 
 def extract_path(adj, dist, source, target):
     """A shortest path ``source -> target``: :func:`descend` from ``target`` on
     the array of a run rooted at ``source``, reversed; it must end there."""
-    path = descend(adj, dist, target)
+    path = descend(adj, dist, target)[0]
     if path[-1] != int(source):
         raise RuntimeError(f"the walk ended at vertex {path[-1]}, "
                            f"not at the source {source}")
@@ -215,20 +217,15 @@ def extract_path(adj, dist, source, target):
 
 
 def edge_lengths_along(edges, path, *lengths):
-    """Per-step lengths of a vertex index path, one array per per-edge ``lengths``,
-    from one lookup of the steps' ids in ``edges`` (a CSR of edge ids plus one):
-    the kernel's, or scipy's slower public ``edges[u, v]`` where it cannot run.
+    """Per-step lengths of a vertex index path no walk took (a walk's entries give
+    its ids), one array per per-edge ``lengths``, from scipy's public lookup
+    ``edges[u, v]`` of the steps' ids in ``edges`` (a CSR of edge ids plus one).
     Raises if an index is out of range or two consecutive vertices are not adjacent."""
-    path, n = np.ascontiguousarray(path, dtype=np.int64), edges.shape[0]
+    path, n = np.asarray(path, dtype=np.int64), edges.shape[0]
     if path.size and (path.min() < 0 or path.max() >= n):  # scipy wraps a negative index
         raise IndexError(f"vertex index out of range for {n} vertices")
     u, v = path[:-1], path[1:]
-    if _kernel is None or edges.indices.dtype != np.int32:
-        ids = np.asarray(edges[u, v]).ravel() - 1 if u.size else u
-    else:
-        ids = np.empty(u.size, np.int64)
-        arrays = (u, v, edges.indptr, edges.indices, edges.data, ids)
-        _kernel.cd_edge_ids(u.size, *map(_ptr, arrays, ("i8", "i8", "i4", "i4", "i4", "i8")))
+    ids = np.asarray(edges[u, v]).ravel() - 1 if u.size else u
     if (ids < 0).any():
         i = int(np.argmin(ids))
         raise ValueError(f"vertices {path[i]} and {path[i + 1]} are not adjacent")
@@ -403,21 +400,23 @@ class MetricView:
         return self._reach(ia, ib)[3] if value is None else value
 
     def geodesic(self, ia, ib):
-        """(distance, path from ``ia`` to ``ib``) for distinct indices; the
-        path is None when they are not connected."""
+        """(distance, path from ``ia`` to ``ib``, the entries of ``full`` its
+        steps take, each in either end's row) for distinct indices; path and
+        entries are None when they are not connected."""
         root, other, dist, value = self._reach(ia, ib)
         if not np.isfinite(value):
-            return value, None
+            return value, None, None
         saved = dist[other]
         if self.boundary_mask[other]:
             # the run never enters a boundary target: the walk starts at
             # its value, put in for the walk only
             dist[other] = value
-        try:
-            path = extract_path(self.full, dist, root, other)
+        try:  # down to the root, the one vertex at 0
+            path, entries = descend(self.full, dist, other)
         finally:
             dist[other] = saved
-        return value, (path if path[0] == ia else path[::-1].copy())
+        step = 1 if other == ia else -1
+        return value, path[::step].copy(), entries[::step].copy()
 
     def _reach(self, ia, ib):
         """(root, other, dist, value) of the run from the smaller index

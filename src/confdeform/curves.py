@@ -64,6 +64,18 @@ class Curve:
             to_infinity=to_infinity, estimate=estimate,
         )
 
+    @classmethod
+    def _from_walk(cls, dd, vertices, entries, deformed, total):
+        """The curve of a walk through either view's ``full`` matrix, its steps
+        gathered through the edge ids at the walk's ``entries``: no lookup.  The
+        walked metric's total is ``total`` (a geodesic's distance) or, for None,
+        the fold of its steps from the start; the other's is their sum."""
+        ids = dd.domain.edge_ids.data[entries] - 1
+        incr = dd.domain.edge_len[ids], dd.edge_len_phi[ids]
+        walked = np.cumsum(incr[deformed])[-1] if total is None else total
+        other = np.sum(incr[not deformed])
+        return cls(dd, vertices, *incr, *((other, walked) if deformed else (walked, other)))
+
     # -- basics -----------------------------------------------------------
 
     def __len__(self):

@@ -127,11 +127,11 @@ class DeformedDomain:
         ix, iy = self.domain.index(x), self.domain.index(y)
         if ix == iy:
             raise DeformError("geodesic endpoints must differ")
-        total_phi, path = self.view.geodesic(ix, iy)
+        total_phi, path, entries = self.view.geodesic(ix, iy)
         if path is None:
             raise DeformError(f"vertices {x} and {y} are not connected "
                               "through the open domain")
-        return Curve.from_indices(self, path, total_phi=total_phi)
+        return Curve._from_walk(self, path, entries, deformed=True, total=total_phi)
 
     # -- cached distance fields ------------------------------------------------
 

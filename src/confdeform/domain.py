@@ -628,8 +628,8 @@ def generate_domain(spec):
         for item in rest.split(","):
             key, eq, val = item.partition("=")
             key = key.strip()
-            if not eq or key not in schema:
-                raise DomainError(f"bad generator parameter {item!r} for {name}")
+            if not eq or key not in schema or key in params:
+                raise DomainError(f"bad or repeated generator parameter {item!r} for {name}")
             try:
                 params[key] = schema[key](val)
             except ValueError:

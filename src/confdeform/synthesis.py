@@ -84,10 +84,10 @@ def uniform_curve_d(dd, x, y):
     ix, iy = domain.index(x), domain.index(y)
     if ix == iy:
         raise SynthesisError("curve endpoints must differ")
-    total_d, path = domain.view.geodesic(ix, iy)
+    total_d, path, entries = domain.view.geodesic(ix, iy)
     if path is None:
         raise SynthesisError("endpoints are not connected through the open domain")
-    return Curve.from_indices(dd, path, total_d=total_d)
+    return Curve._from_walk(dd, path, entries, deformed=False, total=total_d)
 
 
 def _geodesic_to_frontier(dd, start_idx, deformed):
@@ -98,10 +98,8 @@ def _geodesic_to_frontier(dd, start_idx, deformed):
     view = dd.view if deformed else dd.domain.view
     if not np.isfinite(view.frontier_field[start_idx]):
         raise SynthesisError("frontier unreachable from the start vertex")
-    curve = Curve.from_indices(dd, _graphs.descend(view.full, view.frontier_field, start_idx))
-    fold = float(np.cumsum(curve.incr_phi if deformed else curve.incr_d)[-1])
-    totals = (curve.total_d, fold) if deformed else (fold, curve.total_phi)
-    return Curve(dd, curve.vertices, curve.incr_d, curve.incr_phi, *totals)
+    walk = _graphs.descend(view.full, view.frontier_field, start_idx)
+    return Curve._from_walk(dd, *walk, deformed=deformed, total=None)
 
 
 def _maybe_rebundle(dd, bundle, base_curve, notes):

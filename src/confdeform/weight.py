@@ -120,8 +120,8 @@ class WeightFunction:
         if rest.strip():
             for item in rest.split(","):
                 key, eq, val = item.partition("=")
-                if not eq:
-                    raise WeightError(f"bad weight parameter {item!r}")
+                if not eq or key.strip() in params:
+                    raise WeightError(f"bad or repeated weight parameter {item!r}")
                 try:
                     params[key.strip()] = float(val)
                 except ValueError:

@@ -320,6 +320,11 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
      "bad vertex reference 'id:abc'; use 'x,y' coordinates or 'id:N'"),
     (["distance", *COMMON, "--from", "1,x", "--to", "0,2"],
      "bad vertex reference '1,x'; use 'x,y' coordinates or 'id:N'"),
+    # a repeated spec parameter, which would otherwise take its last value
+    (["distance", "--domain", DOM, "--weight", "power:beta=2,beta=3",
+      "--from", "0,1", "--to", "0,2"], "bad or repeated weight parameter 'beta=3'"),
+    (["distance", "--domain", "strip:width=2,width=4,h=0.5", "--weight", W,
+      "--from", "0,1", "--to", "0,2"], "bad or repeated generator parameter 'width=4' for strip"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)

@@ -129,6 +129,9 @@ def test_generate_domain_spec_strings():
         generate_domain("half_plane:wobble=3")
     with pytest.raises(DomainError):
         generate_domain("half_plane:width=often")
+    # a repeated parameter is rejected, not read as its last value
+    with pytest.raises(DomainError, match="repeated generator parameter 'width=4'"):
+        generate_domain("strip:width=2,width=4,h=0.5")
     with pytest.raises(DomainError):
         generate_domain("half_plane:width=2,h=0.3")  # extent not a mesh multiple
     # a bad extent or mesh size is named, whatever arithmetic it would break

@@ -139,7 +139,7 @@ def _every_pair(edges, dom):
             got = _view(edges, dom).distance(ia, ib)
             assert got == want or (math.isinf(got) and math.isinf(want))
             view = _view(edges, dom)
-            val, path = view.geodesic(ia, ib)
+            val, path, _ = view.geodesic(ia, ib)
             assert val == got or (math.isinf(val) and math.isinf(want))
             if want_path is None:
                 assert path is None
@@ -288,7 +288,7 @@ def test_one_view_keeps_no_state_between_runs(metric, seed):
             if op == 0:
                 assert view.distance(ia, ib) == want
             else:
-                val, path = view.geodesic(ia, ib)
+                val, path, _ = view.geodesic(ia, ib)
                 assert val == want and path.tolist() == want_path.tolist()
             handed_off += view._buffer.dist is not buffer
             buffer = view._buffer.dist
@@ -507,10 +507,41 @@ def test_curve_steps_are_looked_up_once(warm):
     # both metrics' matrices come from one edge list: one sparsity pattern
     assert (dom.adjacency.indptr == dd.adjacency_phi.indptr).all()
     assert (dom.adjacency.indices == dd.adjacency_phi.indices).all()
-    curve = dd.dphi_geodesic(dom.nearest_vertex(-1.5, 6.0), dom.nearest_vertex(1.0, 0.5))
-    for adj, incr in ((dom.adjacency, curve.incr_d), (dd.adjacency_phi, curve.incr_phi)):
-        for (u, v), w in zip(zip(curve.vertices[:-1], curve.vertices[1:]), incr):
-            assert adj[u, v] == w
+    # every curve the package walks (the geodesics of both metrics, to an
+    # interior and to a boundary target, and both escapes) takes its steps'
+    # edge ids from the entries of its walk, with the kernel and without
+    for kernel in (_graphs._kernel, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_graphs, "_kernel", kernel)
+            _walked_curve_cases(deform(half_plane(width=4, depth=8, h=0.25, conn=8), W2))
+
+
+def _walked_curve_cases(dd):
+    dom = dd.domain
+    x, y = dom.nearest_vertex(-1.5, 6.0), dom.nearest_vertex(1.0, 0.5)
+    b = int(dom.ids[dom.boundary_idx[5]])
+    walks = []  # (curve, (path, entries) of its walk, walked metric, its total)
+    for u, v in ((x, y), (y, x), (y, b), (b, y)):  # the walk runs from the larger index
+        iu, iv = dom.index(u), dom.index(v)
+        walks.append((dd.dphi_geodesic(u, v), dd.view.geodesic(iu, iv)[1:], "phi",
+                      dd.dphi_distance(u, v)))
+        walks.append((synthesis.uniform_curve_d(dd, u, v), dom.view.geodesic(iu, iv)[1:],
+                      "d", dom.distance(u, v)))
+    for view, metric in ((dd.view, "phi"), (dom.view, "d")):
+        # an escape's total is the fold of its steps from the start
+        walk = _graphs.descend(view.full, view.frontier_field, dom.index(x))
+        walks.append((synthesis._geodesic_to_frontier(dd, dom.index(x), metric == "phi"),
+                      walk, metric, np.cumsum(view.full.data[walk[1]])[-1]))
+    for curve, (path, entries), metric, total in walks:
+        u, v = path[:-1], path[1:]
+        assert curve.vertices.tolist() == path.tolist()
+        ids = dom.edge_ids.data[entries] - 1
+        assert ids.tolist() == (np.asarray(dom.edge_ids[u, v]).ravel() - 1).tolist()
+        for adj, incr in ((dom.adjacency, curve.incr_d), (dd.adjacency_phi, curve.incr_phi)):
+            assert _same(incr, np.asarray(adj[u, v]).ravel())
+        sums = float(np.sum(curve.incr_d)), float(np.sum(curve.incr_phi))
+        want = (sums[0], total) if metric == "phi" else (total, sums[1])
+        assert curve.lengths() == want
 
 
 def test_returned_arrays_outlive_later_queries(warm):
@@ -633,7 +664,7 @@ def test_steered_pairs_match_plain_runs_on_deep_grids(spec, metric, seed):
     if a == b:
         return
     value, path, _ = _plain(view, a, b)
-    got, got_path = view.geodesic(a, b)
+    got, got_path, _ = view.geodesic(a, b)
     assert _same(np.float64(got), np.float64(value))
     assert got_path.tolist() == path.tolist()
     assert view.distance(b, a) == got
@@ -663,7 +694,7 @@ def test_steered_runs_settle_a_fraction_of_plain_ones():
     # the latest run answers: its array, walked from the nearest frontier vertex
     escape = dd.view.nearest(b, dom.frontier_idx, goal=("frontier_field", -1))[0]
     fr = dom.frontier_idx
-    path = _graphs.descend(dd.view.full, escape, int(fr[np.argmin(escape[fr])]))
+    path, _ = _graphs.descend(dd.view.full, escape, int(fr[np.argmin(escape[fr])]))
     assert settled < 4 * len(path)
 
 
@@ -678,7 +709,7 @@ def test_landmarks_steer_sideways_deformed_pairs(engine, monkeypatch):
     view = deform(dom, W2).view
     a, b = dom.index(dom.nearest_vertex(-8.0, 0.0)), dom.index(dom.nearest_vertex(8.0, 15.0))
     value, path, plain = _plain(view, a, b)
-    got, got_path = view.geodesic(a, b)
+    got, got_path, _ = view.geodesic(a, b)
     assert _same(np.float64(got), np.float64(value))
     assert got_path.tolist() == path.tolist()
     # farthest-point selection lands on the boundary row

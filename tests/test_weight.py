@@ -177,7 +177,7 @@ def test_parse_power_and_power_log():
 def test_parse_rejects_bad_specs():
     for spec in ("power:beta=1", "power:beta=2,gamma=1", "power:beta",
                  "powerlog:beta=2", "mystery:x=1", "power:beta=soften",
-                 "table:inline"):
+                 "table:inline", "power:beta=2,beta=3", "powerlog:beta=2,kappa=1,beta=2"):
         with pytest.raises(WeightError):
             WeightFunction.parse(spec)
 
