@@ -294,12 +294,12 @@ class MetricView:
     chord bound cannot, as under the deformed metric, whose least length per
     chord is tiny; the first steered pair query builds them.
 
-    Stopped runs fill one :class:`RunBuffer` of the view, so a run that
-    settles a few vertices costs that few, not ``n``: before the next run
-    the view resets the entries the latest one settled.  A run that
-    settled more than ``n / 16`` (cheaper to replace than to undo entry by
-    entry) keeps its array as the latest run, and a clean one takes its
-    place in the same call.
+    Stopped runs and balls fill one :class:`RunBuffer` of the view, so a
+    run that settles a few vertices costs that few, not ``n``: before the
+    next run the view resets the entries the latest one settled.  A run
+    that settled more than ``n / 16`` (cheaper to replace than to undo
+    entry by entry) keeps its array as the latest run, and a clean one
+    takes its place in the same call.
     """
 
     MEMO_SIZE = 256
@@ -368,6 +368,33 @@ class MetricView:
         self._last = (int(root), None, limit, dist)
         return dist
 
+    def ball(self, root, limit):
+        """(vertices, distances) of the vertices a run from ``root`` through
+        the open domain settles up to ``limit``, as :meth:`run` gives them,
+        in new arrays the caller owns: the run fills the view's buffer and
+        hands out the vertices it settled (in settling order, or by index
+        where they overflow the buffer's order or scipy ran)."""
+        root = int(root)
+        dist, settled = self._buffered(root, limit=limit)
+        self._last = (root, None, limit, dist)
+        vertices = (np.flatnonzero(np.isfinite(dist)) if settled is None
+                    else settled.astype(np.int64))
+        return vertices, dist[vertices]
+
+    def _buffered(self, root, **run):
+        """(dist, settled) of a run from ``root`` through the open domain into
+        the view's buffer, once the latest run's entries are reset:
+        ``settled``, the part of the buffer's order that lists the vertices
+        it settled, is None where scipy ran or they overflowed the order,
+        and ``dist`` is then an array of its own."""
+        buf = self._buffer
+        buf.dist[buf.order[:buf.settled]] = np.inf
+        buf.settled = 0
+        dist = distances_from(self.full, root, into=buf, blocked=self.boundary_mask, **run)
+        if buf.settled > buf.order.size:
+            buf.renew()
+        return dist, buf.order[:buf.settled] if dist is buf.dist else None
+
     def nearest(self, root, members, offsets=0.0, goal=None):
         """(dist, c) of a run from ``root`` stopped at the least ``c = dist[m]
         + offset`` over the members, exact up to ``c`` (``inf`` when no member
@@ -381,15 +408,9 @@ class MetricView:
             if c <= last[2] or (goal is not None and goal == last[1]):
                 return last[3], c
         steer = goal and _kernel and self._goal(*goal)  # scipy ignores goals
-        stop, buf = (members, offsets), self._buffer
-        buf.dist[buf.order[:buf.settled]] = np.inf
-        buf.settled = 0
-        dist = distances_from(self.full, root, stop=stop, into=buf, goal=steer,
-                              blocked=self.boundary_mask)
+        dist = self._buffered(root, stop=(members, offsets), goal=steer)[0]
         c = float(np.min(dist[members] + offsets, initial=np.inf))
         self._last = (root, goal, -np.inf if steer else c, dist)
-        if buf.settled > buf.order.size:
-            buf.renew()
         return dist, c
 
     def distance(self, ia, ib):

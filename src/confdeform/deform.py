@@ -88,6 +88,7 @@ class DeformedDomain:
         self.weight = weight
         self.field = field
         self.quadrature = int(quadrature)
+        self._shell_counts = {}  # interior component label -> members per shell
 
     # -- edge lengths and adjacency views -------------------------------------
 
@@ -144,6 +145,18 @@ class DeformedDomain:
         if self.domain.frontier_idx.size == 0:
             raise DeformError("domain has no frontier")
         return self.view.frontier_field
+
+    def component_shell_counts(self, ix):
+        """Members per shell (0 up to the deepest) of the interior component
+        of vertex index ``ix`` (``MetricDomain.interior_components``),
+        counted on the first ask for that component."""
+        labels = self.domain.interior_components
+        label = int(labels[ix])
+        if label not in self._shell_counts:
+            shells = self.field.shells
+            self._shell_counts[label] = np.bincount(shells[labels == label],
+                                                    minlength=int(shells.max()) + 1)
+        return self._shell_counts[label]
 
     # -- the point at infinity ---------------------------------------------------
 

@@ -199,14 +199,15 @@ def synthesize(dd, bundle, x, y=None, to_infinity=False):
 
 def _threshold_shell(dd, bundle, ix):
     """k_star: the first shell from m0+n0 on with a vertex reachable from ``ix``
-    and none nearer than the crossing threshold (else m0+n0), from one run
-    bounded at the threshold and the domain's cached interior components."""
+    and none nearer than the crossing threshold (else m0+n0), from the ball
+    of one run bounded at the threshold and the shell counts of the start's
+    interior component, kept by the domain: a call costs what the run settles."""
     threshold, low = bundle.t_small * bundle.lam, bundle.m0 + bundle.n0
-    shells, labels = dd.field.shells, dd.domain.interior_components
-    size = int(shells.max()) + 1  # no shell from low on: both slices are empty
-    reached = np.bincount(shells[labels == labels[ix]], minlength=size)[low:]
-    near = np.bincount(shells[dd.view.run(ix, threshold) < threshold], minlength=size)[low:]
-    fits = np.flatnonzero((reached > 0) & (near == 0))
+    reached = dd.component_shell_counts(ix)
+    vertices, dist = dd.view.ball(ix, threshold)
+    near = np.bincount(dd.field.shells[vertices[dist < threshold]], minlength=reached.size)
+    # no shell from low on: both slices are empty
+    fits = np.flatnonzero((reached[low:] > 0) & (near[low:] == 0))
     return low + int(fits[0]) if fits.size else low
 
 

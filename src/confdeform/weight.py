@@ -365,6 +365,8 @@ def derive_constants(weight, cu, cq, m0_cap=10 ** 6):
     """
     cu = float(cu)
     cq = float(cq)
+    if not (math.isfinite(cu) and math.isfinite(cq)):
+        raise WeightError(f"cu and cq must be finite, got cu={cu}, cq={cq}")
     if cu < 1 or cq < 1:
         raise WeightError("cu and cq must be at least 1")
     c_phi = weight.c_phi
@@ -372,6 +374,9 @@ def derive_constants(weight, cu, cq, m0_cap=10 ** 6):
     n0 = _dyadic_exponent(cu)
 
     bound = 1.0 / (8.0 * cu * c_phi)
+    if not bound > 0.0:  # 8 cu c_phi overflowed: no tail is below 0
+        raise WeightError(f"cu={cu} too large: the m0 bound 1/(8 cu c_phi) "
+                          "underflows to 0")
     m0 = n0 + 3
     while weight.tail_sum(m0 - n0) >= bound:
         m0 += 1

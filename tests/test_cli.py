@@ -325,6 +325,9 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
       "--from", "0,1", "--to", "0,2"], "bad or repeated weight parameter 'beta=3'"),
     (["distance", "--domain", "strip:width=2,width=4,h=0.5", "--weight", W,
       "--from", "0,1", "--to", "0,2"], "bad or repeated generator parameter 'width=4' for strip"),
+    # every checker would pass, and the report's tolerance is no JSON number
+    (["check", *COMMON, "--tol", "inf", "--cu", "2", "--cq", "1"],
+     "tolerance factor must be finite and at least 1, got inf"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)

@@ -332,10 +332,40 @@ def test_escapes_run_only_the_threshold_search(monkeypatch):
     # both escapes walk their frontier fields: the one run is the search
     # bounded at the threshold
     assert runs == [bundle.t_small * bundle.lam]
+    # so does every later shallow escape, and the shell counts of the one
+    # interior component are made once
+    values = dd.field.values
+    starts = np.flatnonzero((values > 0.4) & (values < 3.0))[::7]
+    for ix in starts:
+        res = synthesize(dd, bundle, domain.vertex_id(ix), to_infinity=True)
+        assert res.case == "to_infinity_shallow"
+    assert runs == [bundle.t_small * bundle.lam] * (1 + starts.size)
+    assert list(dd._shell_counts) == [domain.interior_components[starts[0]]]
     deep = np.flatnonzero((dd.field.shells >= bundle.m0) & ~domain.frontier_mask)
     res = synthesize(dd, bundle, domain.vertex_id(deep[0]), to_infinity=True)
     assert res.case == "to_infinity_deep"
-    assert runs == [bundle.t_small * bundle.lam]
+    assert runs == [bundle.t_small * bundle.lam] * (1 + starts.size)
+
+
+@pytest.mark.parametrize("make, n_components", [
+    (walled_rays, 3),  # two rays and their foot
+    (_tall, 10),  # the interior and nine boundary singletons
+])
+def test_component_shell_counts_are_kept_per_component(make, n_components):
+    domain = make()
+    dd = deform(domain, W2)
+    labels, shells = domain.interior_components, dd.field.shells
+    components = np.unique(labels)
+    assert components.size == n_components
+    for label in components:
+        members = np.flatnonzero(labels == label)
+        counts = dd.component_shell_counts(members[0])
+        assert counts.size == shells.max() + 1
+        assert counts.tolist() == np.bincount(shells[members],
+                                              minlength=counts.size).tolist()
+        for ix in members[1:]:
+            assert dd.component_shell_counts(ix) is counts
+    assert sorted(dd._shell_counts) == components.tolist()
 
 
 def _stopped_run_escape(dd, ix, deformed):

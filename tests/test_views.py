@@ -549,7 +549,7 @@ def test_returned_arrays_outlive_later_queries(warm):
     view = dd.view
     b1, b2, b3 = (int(v) for v in dom.boundary_idx[[2, 7, 12]])
     inner = dom.index(dom.nearest_vertex(0.5, 2.0))
-    kept = [view.run(b1), view.run(inner, 1.0),
+    kept = [view.run(b1), view.run(inner, 1.0), *view.ball(inner, 0.1),
             _graphs.distances_from(view.interior, b3)]
     # the last run above is the latest run: the boundary-target geodesic
     # from b1 reads it, and puts its target's value in for the walk only
@@ -562,6 +562,54 @@ def test_returned_arrays_outlive_later_queries(warm):
     view.nearest(inner, dom.frontier_idx)
     view.run(b2, 2.0)
     assert all(_same(a, b) for a, b in zip(kept, copies))
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scipy"])
+def test_balls_are_the_settled_part_of_runs(engine, monkeypatch):
+    # a ball is the finite part of the run bounded at its limit, bitwise:
+    # balls that fit the buffer's order (n / 16 = 35 vertices here) and
+    # balls past it, then pair queries that answer as on a fresh domain and
+    # read the ball's run when it is exact that far
+    if engine == "scipy":
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    runs, reused = _counted(monkeypatch, "distances_from"), 0
+    spec = "half_plane:width=4,depth=8,h=0.25,conn=8"
+    dom, fresh = generate_domain(spec), generate_domain(spec)
+    dd, fresh_dd = deform(dom, W2), deform(fresh, W2)
+    inner = dom.index(dom.nearest_vertex(0.5, 2.0))
+    foot = int(dom.boundary_idx[5])
+    pairs = [(inner, dom.index(dom.nearest_vertex(0.75, 2.0))),
+             (inner, dom.index(dom.nearest_vertex(-1.5, 6.0))),
+             (foot, dom.index(dom.nearest_vertex(1.0, 3.0)))]
+    for view, twin in ((dom.view, fresh.view), (dd.view, fresh_dd.view)):
+        capacity = view._buffer.order.size
+        assert capacity == dom.n_vertices // 16
+        sizes = []
+        for root, limit in ((inner, 0.3), (inner, 1.0), (foot, 0.5), (inner, np.inf)):
+            ran = view.run(root, limit)
+            vertices, dist = view.ball(root, limit)
+            assert vertices.dtype == np.int64
+            assert sorted(vertices.tolist()) == np.flatnonzero(np.isfinite(ran)).tolist()
+            assert _same(dist, ran[vertices])
+            sizes.append(vertices.size)
+            # the buffer holds what a ball settled only while it fits
+            fits = _graphs._kernel is not None and vertices.size <= capacity
+            assert view._buffer.settled == (vertices.size if fits else 0)
+            # each pair query right after a ball, some from the ball's root
+            for ia, ib in pairs:
+                want = twin.distance(ia, ib)
+                view._memo.clear()
+                view.ball(root, limit)
+                before, value = len(runs), view.distance(ia, ib)
+                assert value == want
+                read = min(ia, ib) == root and value <= limit
+                assert len(runs) == before + (not read)
+                reused += read
+                view.ball(root, limit)
+                got, want = view.geodesic(ib, ia), twin.geodesic(ib, ia)
+                assert got[0] == want[0] and _same(got[1], want[1])
+        assert min(sizes) <= capacity < max(sizes)
+    assert reused
 
 
 def _subcurve_oracle(curve, metric):

@@ -294,6 +294,14 @@ def test_derive_constants_input_validation():
         derive_constants(w, cu=0.5, cq=1.0)
     with pytest.raises(WeightError):
         derive_constants(w, cu=1.0, cq=0.0)
+    # not finite: named, not a bare ValueError out of Fraction
+    for cu, cq in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(WeightError, match="cu and cq must be finite"):
+            derive_constants(w, cu=cu, cq=cq)
+    # 8 cu c_phi overflows, so the m0 bound is 0: refused before the m0
+    # loop, not after 10**6 steps as a tail that decays too slowly
+    with pytest.raises(WeightError, match="underflows to 0"):
+        derive_constants(w, cu=1e308, cq=1.0)
 
 
 def test_derive_constants_m0_cap():
