@@ -9,9 +9,10 @@
  *
  * A run may carry a goal potential h (A*: Hart, Nilsson and Raphael, 1968;
  * landmark differences: Goldberg and Harrelson, 2005).  The heap key is then
- * g + h(v) while dist keeps g, with, over a stack of k fields,
- *     h(v) = (1 - 2^-10) max(|field_1[v] - field_1[t]|, ...,
- *                            |field_k[v] - field_k[t]|, kappa |xy[v] - xy[t]|).
+ * g + h(v) while dist keeps g, with, over a row-major block of k fields
+ * (row v holds f_1[v] .. f_k[v], so one vertex's values share a cache line),
+ *     h(v) = (1 - 2^-10) max(|f_1[v] - f_1[t]|, ..., |f_k[v] - f_k[t]|,
+ *                            kappa |xy[v] - xy[t]|).
  * 1-Lipschitz fields and kappa at most every edge's length over its chord
  * make h consistent; the shrink leaves each edge a margin of 2^-10 w, far
  * above the few ulps the floats put into h and into the keys, so each
@@ -83,7 +84,7 @@ const int32_t cd_max_fields = CD_MAX_FIELDS;
 
 /* The goal of a run: h(v) of the header, 0 without a field and xy. */
 typedef struct {
-    const double *const *field, *xy;
+    const double *field, *xy;
     int32_t n_field;
     double field_t[CD_MAX_FIELDS], x_t, y_t, kappa;
 } goal;
@@ -93,8 +94,8 @@ typedef struct {
 static inline double potential(const goal *g, int32_t v)
 {
     double h = 0.0, a;
-    for (int32_t i = 0; i < g->n_field; i++)
-        if ((a = fabs(g->field[i][v] - g->field_t[i])) > h)
+    for (int32_t i = 0; i < g->n_field; i++)  /* row v: one or two cache lines */
+        if ((a = fabs(g->field[(size_t)v * g->n_field + i] - g->field_t[i])) > h)
             h = a;
     if (g->xy) {
         double dx = g->xy[2 * v] - g->x_t, dy = g->xy[2 * v + 1] - g->y_t;
@@ -126,7 +127,8 @@ double cd_kappa(int32_t n, const int32_t *indptr, const int32_t *indices,
  * entry); every root starts at 0.  An edge relaxes only when
  * dist[u] + w <= limit.  The heap key is dist[v] + h(v), h the potential
  * toward vertex t, or toward the zeros of the n_field fields (at most
- * CD_MAX_FIELDS) for t < 0; xy is read only for t >= 0 and kappa > 0.
+ * CD_MAX_FIELDS, in the n x n_field row-major block field) for t < 0; xy
+ * is read only for t >= 0 and kappa > 0.
  * The run stops once the least key exceeds c = min(dist[v] + offset) over
  * the stop members settled so far; every vertex it did not settle then
  * reads inf, so without a goal dist is that of limit = c.
@@ -139,7 +141,7 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
                     const double *data, int32_t n_root, const int32_t *roots,
                     double limit, int32_t n_stop, const int32_t *stop,
                     const double *offset, double *dist, int32_t n_order,
-                    int32_t *order, int32_t n_field, const double *const *field,
+                    int32_t *order, int32_t n_field, const double *field,
                     const double *xy, int32_t t, double kappa,
                     const uint8_t *blocked)
 {
@@ -149,7 +151,7 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     double c = INFINITY;
     goal to = {field, t >= 0 && kappa > 0 ? xy : NULL, n_field, {0.0}, 0.0, 0.0, kappa};
     for (int32_t i = 0; i < n_field && t >= 0; i++)
-        to.field_t[i] = field[i][t];
+        to.field_t[i] = field[(size_t)t * n_field + i];
     if (to.xy)
         to.x_t = xy[2 * t], to.y_t = xy[2 * t + 1];
     if (!pos || !slot || !heap) {

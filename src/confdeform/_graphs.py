@@ -96,11 +96,12 @@ def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None, b
     (members, offsets), ends the run once the heap minimum exceeds
     ``c = min(dist[members] + offsets)``: the array is then that of
     ``limit=c``, or steered by ``goal`` ((fields, coords, t, kappa) of
-    ``_dijkstra.c``; fields: one float64 array per vertex, or a sequence of
-    them), exact where it settled.  ``into``, a :class:`RunBuffer`,
-    takes the distances in place of a new array.  ``blocked``, a bool mask,
-    gives the run on ``drop_incident_edges(adj, blocked)``.  scipy, run where
-    the kernel cannot, ignores ``stop``, ``into`` and ``goal``."""
+    ``_dijkstra.c``; fields: a C-contiguous float64 ``(n,)`` array or
+    ``(n, k)`` block, one row per vertex), exact where it settled.
+    ``into``, a :class:`RunBuffer`, takes the distances in place of a new
+    array.  ``blocked``, a bool mask, gives the run on
+    ``drop_incident_edges(adj, blocked)``.  scipy, run where the kernel
+    cannot, ignores ``stop``, ``into`` and ``goal``."""
     return _distances(adj, np.array([source]), limit, stop, into, goal, blocked)
 
 
@@ -145,16 +146,18 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocke
     """Distances from the nearest of ``roots``, each starting at 0, through
     the kernel, or scipy where it cannot run (see :func:`distances_from`)."""
     members, offsets = (np.empty(0), 0.0) if stop is None else stop
-    fields, xy, target, kappa = goal or ((), None, -1, 0.0)
+    fields, xy, target, kappa = goal or (None, None, -1, 0.0)
     csr = _csr(adj, roots, members, max(target, 0))  # -1: the fields' zeros
     if csr is None:
         return dijkstra(adj if blocked is None else drop_incident_edges(adj, blocked),
                         directed=True, indices=roots, limit=limit, min_only=True)
+    fields = np.empty((csr[0], 0)) if fields is None else fields
     if isinstance(fields, np.ndarray) and fields.ndim == 1:
-        fields = (fields,)
-    if len(fields) > _MAX_FIELDS or any(np.shape(f) != (csr[0],) for f in fields):
-        raise TypeError(f"the kernel takes up to {_MAX_FIELDS} fields of {csr[0]} entries")
-    fields = np.array([_ptr(f, "f8") for f in fields], np.uintp)  # the addresses
+        fields = fields[:, None]  # a view: one column
+    if (not isinstance(fields, np.ndarray) or fields.ndim != 2 or len(fields) != csr[0]
+            or fields.shape[1] > _MAX_FIELDS):
+        raise TypeError(f"the kernel takes an ({csr[0]},) array or an ({csr[0]}, k) "
+                        f"block of k <= {_MAX_FIELDS} fields")
     roots = np.ascontiguousarray(roots, dtype=np.int32)
     members = np.ascontiguousarray(members, dtype=np.int32)
     offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape), float)
@@ -163,7 +166,8 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocke
     settled = _kernel.cd_dijkstra(
         *csr, len(roots), _ptr(roots, "i4"), limit, len(members), _ptr(members, "i4"),
         _ptr(offsets, "f8"), _ptr(dist, "f8"), len(order), _ptr(order, "i4"),
-        len(fields), fields.ctypes.data, None if xy is None else _ptr(xy, "f8", 2 * csr[0]),
+        fields.shape[1], _ptr(fields, "f8"),
+        None if xy is None else _ptr(xy, "f8", 2 * csr[0]),
         target, kappa, None if blocked is None else _ptr(blocked, "?", csr[0]))
     if settled < 0:
         raise MemoryError("no memory for a Dijkstra run")
@@ -216,20 +220,26 @@ def extract_path(adj, dist, source, target):
     return path[::-1].copy()
 
 
-def edge_lengths_along(edges, path, *lengths):
-    """Per-step lengths of a vertex index path no walk took (a walk's entries give
-    its ids), one array per per-edge ``lengths``, from scipy's public lookup
-    ``edges[u, v]`` of the steps' ids in ``edges`` (a CSR of edge ids plus one).
-    Raises if an index is out of range or two consecutive vertices are not adjacent."""
-    path, n = np.asarray(path, dtype=np.int64), edges.shape[0]
-    if path.size and (path.min() < 0 or path.max() >= n):  # scipy wraps a negative index
+def edge_lengths_along(pattern, path, *data):
+    """Per-step lengths of a vertex index path no walk took (a walk's entries
+    give its steps), one array per ``data`` over the entries of the canonical
+    CSR ``pattern`` (as each view's ``full.data`` over the domain's edge
+    ids): at the entry of row ``u`` that names ``v``, for each step
+    ``u -> v``, found by one scan of the steps' rows side by side.  Raises if
+    an index is out of range or two consecutive vertices are not adjacent."""
+    path, n = np.asarray(path, dtype=np.int64), pattern.shape[0]
+    if path.size and (path.min() < 0 or path.max() >= n):
         raise IndexError(f"vertex index out of range for {n} vertices")
     u, v = path[:-1], path[1:]
-    ids = np.asarray(edges[u, v]).ravel() - 1 if u.size else u
-    if (ids < 0).any():
-        i = int(np.argmin(ids))
+    lo, hi = pattern.indptr[u], pattern.indptr[u + 1]
+    pos = lo[:, None] + np.arange(np.max(hi - lo, initial=0))  # row u's entries, padded
+    hit = (pos < hi[:, None]) & (pattern.indices[np.minimum(pos, pattern.nnz - 1)]
+                                 == v[:, None])
+    found = hit.any(axis=1)
+    if not found.all():
+        i = int(np.argmin(found))
         raise ValueError(f"vertices {path[i]} and {path[i + 1]} are not adjacent")
-    return tuple(w[ids] for w in lengths)
+    return tuple(d[pos[hit]] for d in data)  # one hit per row: a canonical pattern
 
 
 def pairwise_distances(adj, vertices):
@@ -285,14 +295,15 @@ class MetricView:
     alike; paths are extracted there too.  Pair answers and the latest run
     are kept, no array per root (5 MB each at 641k vertices).
 
-    The pair potential is the largest of ``|f[v] - f[t]|`` over
-    ``pair_fields`` and the chord bound.  Those fields are ``boundary_field``
-    and, with ``landmarks`` > 0, the distances from as many landmark vertices
-    of the full matrix, picked by farthest-point selection (Goldberg and
-    Harrelson, 2005): the first farthest from the deepest vertex, each next
-    farthest from those picked.  They bound sideways distance where the
-    chord bound cannot, as under the deformed metric, whose least length per
-    chord is tiny; the first steered pair query builds them.
+    The pair potential is the largest of ``|f[v] - f[t]|`` over the columns
+    of ``pair_fields`` and the chord bound.  That ``(n, 1 + landmarks)``
+    block, one row per vertex, holds ``boundary_field`` in column 0 and the
+    distances from ``landmarks`` landmark vertices of the full matrix,
+    picked by farthest-point selection (Goldberg and Harrelson, 2005): the
+    first farthest from the deepest vertex, each next farthest from those
+    picked.  They bound sideways distance where the chord bound cannot, as
+    under the deformed metric, whose least length per chord is tiny; the
+    first steered pair query builds them.
 
     Stopped runs and balls fill one :class:`RunBuffer` of the view, so a
     run that settles a few vertices costs that few, not ``n``: before the
@@ -305,7 +316,7 @@ class MetricView:
     MEMO_SIZE = 256
 
     def __init__(self, edges, lengths, boundary_mask, frontier_idx=(), coords=None,
-                 landmarks=4):
+                 landmarks=6):
         self.full = csr_matrix((lengths[edges.data - 1], edges.indices, edges.indptr),
                                shape=edges.shape)
         self.boundary_mask = boundary_mask
@@ -313,7 +324,7 @@ class MetricView:
         self.coords = None if coords is None else np.ascontiguousarray(coords, float)
         self._memo = {}  # (root, other) -> distance, oldest first
         self._last = None  # (root, goal, radius up to which it is exact, dist)
-        self._steers = {}  # field name -> those of its fields that may steer
+        self._steers = {}  # field name -> the block of its fields that may steer, or None
         self.landmarks = landmarks
 
     @cached_property
@@ -322,14 +333,25 @@ class MetricView:
 
     @cached_property
     def pair_fields(self):
-        """``boundary_field`` and the landmark fields (see the class docstring)."""
+        """The block of ``boundary_field`` and the landmark fields (see the
+        class docstring), each sweep written into its column as it ends, the
+        distance to the landmarks so far kept in one array; ``boundary_field``
+        then reads column 0, so no second copy of it stays."""
         def farthest(field):
             return [int(np.argmax(np.where(np.isfinite(field), field, -1.0)))]
-        near, sweeps = self.boundary_field, []
-        for _ in range(self.landmarks + 1 if self.landmarks else 0):  # a seed sweep first
-            sweeps.append(min_distance_field(self.full, farthest(near)))
-            near = sweeps[-1] if len(sweeps) < 3 else np.minimum(near, sweeps[-1])
-        return (self.boundary_field, *sweeps[1:])
+        if not self.landmarks:
+            return self.boundary_field[:, None]
+        block = np.empty((self.full.shape[0], 1 + self.landmarks))
+        block[:, 0] = self.boundary_field
+        near = min_distance_field(self.full, farthest(block[:, 0]))  # the seed sweep
+        for i in range(1, block.shape[1]):
+            block[:, i] = min_distance_field(self.full, farthest(near))
+            if i == 1:  # the seed is no landmark
+                np.copyto(near, block[:, 1])
+            else:
+                np.minimum(near, block[:, i], out=near)
+        self.boundary_field = block[:, 0]
+        return block
 
     interior = property(lambda self: drop_incident_edges(self.full, self.boundary_mask))
 
@@ -345,17 +367,20 @@ class MetricView:
 
     def _goal(self, name, target):
         """The kernel's goal toward vertex ``target`` (-1: the fields' zeros)
-        by the coordinates and the field or fields ``name`` names, less each
-        field whose largest finite value exceeds 2**30 times the least edge
-        (the margin of 2**-10 per edge must dwarf the rounding of the keys);
-        None when no field is left."""
+        by the coordinates and the field or block of fields ``name`` names,
+        less each field whose largest finite value exceeds 2**30 times the
+        least edge (the margin of 2**-10 per edge must dwarf the rounding of
+        the keys): the block itself, or a compacted copy when one is left
+        out; None when no field is left."""
         if name not in self._steers:
             fields, least = getattr(self, name), np.min(self.full.data, initial=np.inf)
-            self._steers[name] = tuple(
-                f for f in ((fields,) if isinstance(fields, np.ndarray) else fields)
-                if least >= 2.0 ** -30 * np.max(f, initial=0.0, where=np.isfinite(f)))
+            fields = fields.reshape(len(fields), -1)
+            keep = least >= 2.0 ** -30 * np.max(fields, axis=0, initial=0.0,
+                                                 where=np.isfinite(fields))
+            self._steers[name] = (None if not keep.any() else fields if keep.all()
+                                  else np.ascontiguousarray(fields[:, keep]))
         fields = self._steers[name]
-        return (fields, self.coords, target, self._kappa) if fields else None
+        return None if fields is None else (fields, self.coords, target, self._kappa)
 
     @cached_property
     def _buffer(self):

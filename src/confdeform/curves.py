@@ -56,7 +56,7 @@ class Curve:
         """
         indices = np.asarray(indices, dtype=np.int64)
         incr_d, incr_phi = _graphs.edge_lengths_along(
-            dd.domain.edge_ids, indices, dd.domain.edge_len, dd.edge_len_phi)
+            dd.domain.edge_ids, indices, dd.domain.view.full.data, dd.view.full.data)
         return cls(
             dd, indices, incr_d, incr_phi,
             float(np.sum(incr_d)) if total_d is None else total_d,
@@ -67,11 +67,11 @@ class Curve:
     @classmethod
     def _from_walk(cls, dd, vertices, entries, deformed, total):
         """The curve of a walk through either view's ``full`` matrix, its steps
-        gathered through the edge ids at the walk's ``entries``: no lookup.  The
-        walked metric's total is ``total`` (a geodesic's distance) or, for None,
-        the fold of its steps from the start; the other's is their sum."""
-        ids = dd.domain.edge_ids.data[entries] - 1
-        incr = dd.domain.edge_len[ids], dd.edge_len_phi[ids]
+        read from both views' matrices at the walk's ``entries`` (the views
+        share one pattern): no lookup.  The walked metric's total is ``total``
+        (a geodesic's distance) or, for None, the fold of its steps from the
+        start; the other's is their sum."""
+        incr = dd.domain.view.full.data[entries], dd.view.full.data[entries]
         walked = np.cumsum(incr[deformed])[-1] if total is None else total
         other = np.sum(incr[not deformed])
         return cls(dd, vertices, *incr, *((other, walked) if deformed else (walked, other)))

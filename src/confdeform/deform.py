@@ -92,17 +92,24 @@ class DeformedDomain:
 
     # -- edge lengths and adjacency views -------------------------------------
 
-    @cached_property
+    @property
     def edge_len_phi(self):
-        return _deformed_edge_lengths(self.domain, self.field.values, self.weight,
-                                      self.quadrature)
+        """The deformed length of each edge, scattered back from the view's
+        matrix into a new array per read: the view keeps the only copy."""
+        ids, out = self.domain.edge_ids, np.empty(self.domain.n_edges)
+        out[ids.data - 1] = self.view.full.data
+        return out
 
     @cached_property
     def view(self):
         """Deformed-metric view: pair queries, rooted runs and geodesics,
-        steered by four landmarks, as the deformation packs the deep part of
-        the domain into a short region and leaves the chord bound slack."""
-        return self.domain.metric_view(self.edge_len_phi, landmarks=4)
+        steered by six landmarks, as the deformation packs the deep part of
+        the domain into a short region and leaves the chord bound slack.  Its
+        matrix gathers the quadrature's per-edge lengths, which it keeps no
+        further."""
+        return self.domain.metric_view(
+            _deformed_edge_lengths(self.domain, self.field.values, self.weight,
+                                   self.quadrature), landmarks=6)
 
     adjacency_phi = property(lambda self: self.view.full)
     adjacency_phi_interior = property(lambda self: self.view.interior)

@@ -158,18 +158,17 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
         m = int(shells[x])
         scale = weight.value(2.0 ** m) * 2.0 ** m
         thr = thr_coef * scale
-        dist_phi = dd.view.run(x, thr)
-        # the run enters no boundary vertex: they read inf
-        cand = np.nonzero(np.isfinite(dist_phi) & (dist_phi > 0))[0]
-        cand = cand[dist_phi[cand] < thr]
+        # the vertices the run settles (never a boundary one), drawn by index
+        ball, dist_phi = dd.view.ball(x, thr)
+        cand = np.flatnonzero((dist_phi > 0) & (dist_phi < thr))
+        cand = cand[np.argsort(ball[cand])]
         if cand.size == 0:
             rep.excluded += 1
             continue
-        take = cand if cand.size <= 3 else rng.choice(cand, size=3, replace=False)
+        take = cand if cand.size <= 3 else cand[rng.choice(cand.size, size=3, replace=False)]
         limit_d = bundle.c_a * thr / weight.value(2.0 ** m) * (1.0 + tolerance) * 1.01
         dist_d = dd.domain.view.run(x, limit_d)
-        for y in take:
-            dphi = float(dist_phi[y])
+        for y, dphi in zip(ball[take].tolist(), dist_phi[take].tolist()):
             d = float(dist_d[y])
             phim = weight.value(2.0 ** m)
             rep.samples += 1

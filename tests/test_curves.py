@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confdeform import _graphs, synthesis
 from confdeform.curves import (
     Curve,
     CurveError,
     subcurve_excess_ratio,
     uniformity_constant,
 )
-from confdeform.deform import deform
+from confdeform.deform import _deformed_edge_lengths, deform
 from confdeform.domain import MetricDomain, half_plane
 from confdeform.weight import WeightFunction
 
@@ -46,6 +47,38 @@ def test_from_indices_totals_default_to_sums(hp, dd):
     assert c.lengths() == (c.total_d, c.total_phi)
     forced = Curve.from_indices(dd, idx, total_d=9.0, total_phi=1.25)
     assert forced.lengths() == (9.0, 1.25)
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scipy"])
+def test_steps_are_both_views_entries_and_no_edge_lengths_are_kept(hp, engine, monkeypatch):
+    # geodesics and escapes in both metrics read each step from both views'
+    # matrices at the entries their walk took (one shared pattern), bitwise
+    # the per-edge lengths; the deformed ones are kept by the view alone
+    if engine == "scipy":
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    dd = deform(hp, W2)
+    base, phi = hp.view, dd.view
+    a, b = hp.index(hp.nearest_vertex(-1.5, 0.5)), hp.index(hp.nearest_vertex(1.0, 3.0))
+    walks = [(dd.dphi_geodesic(hp.vertex_id(a), hp.vertex_id(b)), phi.geodesic(a, b)[2]),
+             (synthesis.uniform_curve_d(dd, hp.vertex_id(a), hp.vertex_id(b)),
+              base.geodesic(a, b)[2])]
+    for view, deformed in ((phi, True), (base, False)):
+        walks.append((synthesis._geodesic_to_frontier(dd, a, deformed),
+                      _graphs.descend(view.full, view.frontier_field, a)[1]))
+    per_edge = hp.edge_len, dd.edge_len_phi
+    assert "edge_len_phi" not in vars(dd)
+    assert _same(per_edge[1], _deformed_edge_lengths(hp, dd.field.values, W2, dd.quadrature))
+    for curve, entries in walks:
+        ids = hp.edge_ids.data[entries] - 1
+        for steps, view, lengths in zip((curve.incr_d, curve.incr_phi), (base, phi), per_edge):
+            assert _same(steps, view.full.data[entries]) and _same(steps, lengths[ids])
+        again = Curve.from_indices(dd, curve.vertices)
+        assert _same(again.incr_d, curve.incr_d) and _same(again.incr_phi, curve.incr_phi)
+    assert "edge_len_phi" not in vars(dd)
 
 
 def test_construction_errors(hp, dd):

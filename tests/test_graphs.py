@@ -170,7 +170,7 @@ def test_edge_lengths_along():
     diamond = MetricDomain(ids=np.arange(4), coords=None, edge_u=eu, edge_v=ev,
                            edge_len=[1.0, 1.0, 1.5, 1.5, 0.2], boundary_idx=[0],
                            frontier_idx=[])
-    lengths = diamond.edge_len, 2.0 * diamond.edge_len
+    lengths = diamond.view.full.data, 2.0 * diamond.view.full.data  # per entry
     dd = deform(generate_domain("half_plane:width=4,depth=4,h=0.5,conn=8"),
                 WeightFunction.power(2))
     steps = _graphs.edge_lengths_along(diamond.edge_ids, [0, 1, 2, 3], *lengths)
@@ -181,8 +181,8 @@ def test_edge_lengths_along():
     for path in (dom.view.geodesic(0, 80)[1], dd.view.geodesic(3, 75)[1]):
         # reversed too: a path that is a view with a negative stride
         for walk in (path, path[::-1]):
-            steps = _graphs.edge_lengths_along(dom.edge_ids, walk, dom.edge_len,
-                                               dd.edge_len_phi)
+            steps = _graphs.edge_lengths_along(dom.edge_ids, walk, dom.view.full.data,
+                                               dd.view.full.data)
             for adj, got in zip((dom.adjacency, dd.adjacency_phi), steps):
                 want = np.asarray(adj[walk[:-1], walk[1:]]).ravel()
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -331,21 +331,25 @@ def test_goal_arrays_are_checked_before_the_kernel_reads_them():
 
 
 def test_field_stacks_are_checked_before_the_kernel_reads_them():
-    adj, stop, field = _diamond(), (np.array([3]), 0.0), np.zeros(4)
+    adj, stop = _diamond(), (np.array([3]), 0.0)
     cap = _graphs._MAX_FIELDS
-    for fields in ([field, np.zeros(3)], [field, np.zeros(5)],  # a wrong length
-                   [field, np.zeros(4, np.float32)], [np.zeros(8)[::2]],  # dtype, strides
-                   [field] * (cap + 1), np.zeros((cap + 1, 4))):  # past the cap
+    wide = np.zeros((4, 2 * cap))
+    for fields in (np.zeros((3, 2)), np.zeros((5, 2)),  # a wrong row count
+                   np.zeros((4, 2), np.float32), np.zeros((4, 2), order="F"),  # dtype, order
+                   wide[:, ::2], wide[:, :2], np.zeros(8)[::2],  # strided
+                   np.zeros((4, cap + 1)), np.zeros((4, 2, 1)),  # past the cap, not a block
+                   [np.zeros(4)] * 2):  # a list of arrays is no block
         with pytest.raises(TypeError):
             _graphs.distances_from(adj, 0, stop=stop, goal=(fields, None, 3, 0.0))
-    # the rows of a (k, n) array are a stack, and a full stack of fields
-    # passed as plain arrays leaves no reference cycle behind
+    # an (n,) array is a one-column block, and a full block of exact fields
+    # steers to the plain run, leaving no reference cycle behind
     plain = _graphs.distances_from(adj, 0, stop=stop)
     dist = _graphs.distances_from(adj, 0)
     gc.collect()
     gc.disable()
     try:
-        for fields in ([dist] * cap, np.stack([dist, np.zeros(4)])):
+        for fields in (dist, np.repeat(dist[:, None], cap, axis=1),
+                       np.stack([dist, np.zeros(4)], axis=1)):
             steered = _graphs.distances_from(adj, 0, stop=stop, goal=(fields, None, 3, 0.0))
             assert steered.tolist() == plain.tolist()
         assert gc.collect() == 0

@@ -760,9 +760,12 @@ def test_landmarks_steer_sideways_deformed_pairs(engine, monkeypatch):
     got, got_path, _ = view.geodesic(a, b)
     assert _same(np.float64(got), np.float64(value))
     assert got_path.tolist() == path.tolist()
-    # farthest-point selection lands on the boundary row
-    marks = [tuple(dom.coords[np.argmin(f)]) for f in view.pair_fields[1:]]
-    assert marks == [(10.0, 0.0), (-10.0, 0.0), (0.0, 0.0), (-5.0, 0.0)]
+    # farthest-point selection lands on the boundary row, then beside it;
+    # it keeps its prefix: the first four are the four that k = 4 picked
+    marks = dom.coords[np.argmin(view.pair_fields[:, 1:], axis=0)]
+    assert view.pair_fields.shape == (dom.n_vertices, 7)
+    assert np.allclose(marks, [(10.0, 0.0), (-10.0, 0.0), (0.0, 0.0), (-5.0, 0.0),
+                               (5.0, 0.0), (-7.5, 0.7)], rtol=0.0, atol=1e-12)
     if engine == "scipy":
         return
     # vertices settled by the same stopped run under each potential
@@ -770,13 +773,47 @@ def test_landmarks_steer_sideways_deformed_pairs(engine, monkeypatch):
     lo, hi = view.full.indptr[other], view.full.indptr[other + 1]
     stop = (view.full.indices[lo:hi], view.full.data[lo:hi])
     settled = []
-    for fields in ((view.boundary_field,), view.pair_fields):
+    for fields in (np.ascontiguousarray(view.boundary_field), view.pair_fields):
         buf = _graphs.RunBuffer(view.full.shape[0], 0)
         _graphs.distances_from(view.full, root, stop=stop, into=buf, blocked=view.boundary_mask,
                                goal=(fields, view.coords, other, view._kappa))
         settled.append(buf.settled)
-    assert [plain, *settled] == [25_604, 18_862, 3_898]
+    assert [plain, *settled] == [25_604, 18_862, 2_175]
     assert settled[1] <= plain / 4
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scipy"])
+def test_steered_runs_by_the_block_equal_plain_stopped_runs(engine, monkeypatch):
+    # every pair of two views: a deformed half plane's, steered by its whole
+    # block, and a ladder's whose guard drops the six landmark columns (they
+    # pass 2**30 times its one short edge, the boundary field does not),
+    # steered by a compact copy of column 0: each distance and path is
+    # bitwise that of the plain stopped run
+    if engine == "scipy":
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    idx = np.arange(3 * 24).reshape(3, 24)  # rows of 24, the bottom one the boundary
+    eu = np.concatenate([idx[:, :-1].ravel(), idx[:-1].ravel()])
+    ev = np.concatenate([idx[:, 1:].ravel(), idx[1:].ravel()])
+    w = np.ones(eu.size)
+    w[-1] = 4e-9  # the last rung up to the top row
+    dom = generate_domain("half_plane:width=4,depth=3,h=0.5,conn=8")
+    views = deform(dom, W2).view, _view((idx.size, eu, ev, w, idx[0]))
+    for view in views:
+        n = view.full.shape[0]
+        for ia in range(n):
+            for ib in range(ia + 1, n):
+                value, path, _ = _plain(view, ia, ib)
+                got, got_path, _ = view.geodesic(ia, ib)
+                assert _same(np.float64(got), np.float64(value))
+                assert got_path.tolist() == path.tolist()
+    if engine == "scipy":
+        return
+    whole, ladder = (view._goal("pair_fields", 1)[0] for view in views)
+    assert whole.shape == views[0].pair_fields.shape == (dom.n_vertices, 7)
+    assert np.shares_memory(whole, views[0].pair_fields)
+    assert ladder.shape == (idx.size, 1) and ladder.flags.c_contiguous
+    assert not np.shares_memory(ladder, views[1].pair_fields)
+    assert _same(ladder[:, 0], views[1].pair_fields[:, 0])
 
 
 def _sweeps(monkeypatch):
@@ -801,19 +838,24 @@ def test_landmarks_are_built_once_on_the_first_deformed_pair_query(warm, monkeyp
                dom.nearest_vertex(1.5, 3.0))
     # base pairs steer by the boundary field alone
     assert dom.distance(x, y) > 0.0 and dom.view.geodesic(dom.index(x), dom.index(z))[0] > 0.0
-    assert sweeps == [] and len(dom.view.pair_fields) == 1
+    assert sweeps == [] and dom.view.pair_fields.shape == (dom.n_vertices, 1)
+    assert np.shares_memory(dom.view.pair_fields, dom.view.boundary_field)
     # set-up and escapes build no landmark
     assert fresh.dist_to_infinity(int(dom.ids[dom.boundary_idx[3]])).upper > 0.0
     assert fresh.view.run(fresh.domain.index(x)).size and sweeps == []
     assert "pair_fields" not in vars(fresh.view)
-    # the first steered deformed pair query: a seed sweep and four landmarks
+    # the first steered deformed pair query: a seed sweep and six landmarks,
+    # one block that also holds the boundary field, no second copy of it
+    boundary = dd.view.boundary_field
     assert dd.dphi_distance(x, y) > 0.0
-    assert sweeps == [1] * 5 and len(dd.view.pair_fields) == 5
+    assert sweeps == [1] * 7 and dd.view.pair_fields.shape[1] == 7
+    assert _same(dd.view.boundary_field, boundary)
+    assert np.shares_memory(dd.view.boundary_field, dd.view.pair_fields)
     assert dd.dphi_geodesic(y, z).total_phi > 0.0 and dd.dphi_distance(x, z) > 0.0
-    assert sweeps == [1] * 5
+    assert sweeps == [1] * 7
     # each deformed view builds its own
     assert fresh.dphi_distance(x, z) == dd.dphi_distance(x, z)
-    assert sweeps == [1] * 10
+    assert sweeps == [1] * 14
 
 
 def test_check_builds_no_landmarks(monkeypatch):
