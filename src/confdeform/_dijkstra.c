@@ -31,6 +31,7 @@ typedef struct {
     double key;
     int32_t v;
 } entry;
+_Static_assert(sizeof(entry) == 16, "a scratch block holds 16 + 4 + 4 bytes a vertex");
 
 /* A 4-ary heap: shallower than a binary one, and the 4 children of slot k
  * (4k + 1 .. 4k + 4) share one or two cache lines.
@@ -136,17 +137,21 @@ double cd_kappa(int32_t n, const int32_t *indptr, const int32_t *indices,
  * Returns the number of vertices settled, or -1 when out of memory.
  * No n-sized array is cleared, so a run costs what it touches: pos[u] is
  * read only once dist[u] is finite, that is once this run pushed u, and
- * slot is a sparse set. */
+ * slot is a sparse set.  So the heap, pos and slot may come from a scratch
+ * block of 24n bytes, 8-byte aligned, that runs before this one left as
+ * they liked (null: the run mallocs and frees its own); one run at a time
+ * may use a block. */
 int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
                     const double *data, int32_t n_root, const int32_t *roots,
                     double limit, int32_t n_stop, const int32_t *stop,
                     const double *offset, double *dist, int32_t n_order,
                     int32_t *order, int32_t n_field, const double *field,
                     const double *xy, int32_t t, double kappa,
-                    const uint8_t *blocked)
+                    const uint8_t *blocked, void *scratch)
 {
-    int32_t *pos = malloc(n * sizeof *pos), *slot = malloc(n * sizeof *slot);
-    entry *heap = malloc(n * sizeof *heap);
+    entry *heap = scratch ? scratch : malloc(n * sizeof *heap);
+    int32_t *pos = scratch ? (int32_t *)(heap + n) : malloc(n * sizeof *pos);
+    int32_t *slot = scratch ? pos + n : malloc(n * sizeof *slot);
     int32_t size = 0, settled = 0;
     double c = INFINITY;
     goal to = {field, t >= 0 && kappa > 0 ? xy : NULL, n_field, {0.0}, 0.0, 0.0, kappa};
@@ -155,7 +160,8 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     if (to.xy)
         to.x_t = xy[2 * t], to.y_t = xy[2 * t + 1];
     if (!pos || !slot || !heap) {
-        free(pos), free(slot), free(heap);
+        if (!scratch)
+            free(pos), free(slot), free(heap);
         return -1;
     }
     for (int32_t k = 0; k < n_stop; k++) {  /* slot[v]: 1 + its least offset */
@@ -203,7 +209,8 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     }
     for (int32_t k = 0; k < size; k++)  /* tentative values of a stopped run */
         dist[heap[k].v] = INFINITY;
-    free(pos), free(slot), free(heap);
+    if (!scratch)
+        free(pos), free(slot), free(heap);
     return settled;
 }
 

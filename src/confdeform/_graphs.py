@@ -13,7 +13,10 @@ import ctypes
 import hashlib
 import logging
 import os
+import queue
 import subprocess
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from pathlib import Path
 
@@ -46,7 +49,7 @@ def _load_kernel():
         return None
     i32, i64, f64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p,
-                                   i32, p, p, i32, f64, p]
+                                   i32, p, p, i32, f64, p, p]
     kernel.cd_kappa.argtypes, kernel.cd_kappa.restype = [i32, p, p, p, p], f64
     kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, p, p]
     kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p, p, p]
@@ -91,7 +94,8 @@ def build_adjacency(n_vertices, edge_u, edge_v, edge_len):
     return csr_matrix((vals, (rows, cols)), shape=(n_vertices, n_vertices))
 
 
-def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None, blocked=None):
+def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None, blocked=None,
+                   scratch=None):
     """Single-source distances; unreached vertices get ``inf``.  ``stop``,
     (members, offsets), ends the run once the heap minimum exceeds
     ``c = min(dist[members] + offsets)``: the array is then that of
@@ -100,9 +104,62 @@ def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None, b
     ``(n, k)`` block, one row per vertex), exact where it settled.
     ``into``, a :class:`RunBuffer`, takes the distances in place of a new
     array.  ``blocked``, a bool mask, gives the run on
-    ``drop_incident_edges(adj, blocked)``.  scipy, run where the kernel
-    cannot, ignores ``stop``, ``into`` and ``goal``."""
-    return _distances(adj, np.array([source]), limit, stop, into, goal, blocked)
+    ``drop_incident_edges(adj, blocked)``.  ``scratch``, a float64 array of
+    ``3 n`` entries that one run at a time may use, holds the kernel's heap
+    in place of its own allocation.  scipy, run where the kernel cannot,
+    ignores ``stop``, ``into``, ``goal`` and ``scratch``."""
+    return _distances(adj, np.array([source]), limit, stop, into, goal, blocked, scratch)
+
+
+def runs_from(adj, roots, limits=np.inf, blocked=None):
+    """The arrays of :func:`distances_from` from each of ``roots``, up to its
+    entry of ``limits`` (one limit for all, or one per root), through
+    ``drop_incident_edges(adj, blocked)`` with a mask, yielded in root order.
+
+    The kernel releases the interpreter lock, so the runs go to a pool of one
+    thread per CPU this process may use, at most that many in flight, each
+    worker with one more run queued, so that a run which ends behind a
+    longer one leaves no worker idle.  This thread allocates each run's
+    ``inf`` array (at most ``2 workers + 1`` are alive, counting the one the
+    caller holds) and one scratch block per worker for the kernel's heap:
+    arrays allocated on the workers went to glibc's per-thread malloc arenas
+    and raised the peak RSS of ``confdeform check`` by 5-8 MB.  With one
+    CPU, or where scipy runs (which holds the lock), the runs go here, one
+    by one.  No thread outlives the generator.
+    """
+    roots = [int(r) for r in roots]
+    limits = np.broadcast_to(np.asarray(limits, dtype=float), (len(roots),))
+    csr = _csr(adj, roots)
+    workers = min(len(os.sched_getaffinity(0)), len(roots))
+    if csr is None or workers < 2:
+        for root, limit in zip(roots, limits):
+            yield distances_from(adj, root, limit, blocked=blocked)
+        return
+    blocks = queue.SimpleQueue()  # no more runs in flight than blocks: none waits
+    for _ in range(workers):
+        blocks.put(np.empty(3 * csr[0]))
+
+    def run(root, limit, into):
+        scratch = blocks.get()
+        try:  # looked up here, so a wrapped distances_from sees every run
+            return distances_from(adj, root, limit, into=into, blocked=blocked,
+                                  scratch=scratch)
+        finally:
+            blocks.put(scratch)
+
+    pending = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for root, limit in zip(roots, limits):
+                # RunBuffer(n, 0): an inf array and no order
+                pending.append(pool.submit(run, root, limit, RunBuffer(csr[0], 0)))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+        except BaseException:  # closed early, or a run raised: start no more
+            pool.shutdown(cancel_futures=True)
+            raise
+    for future in pending:  # the last runs, ended as the pool shut down
+        yield future.result()
 
 
 def min_distance_field(adj, sources, blocked=None):
@@ -142,7 +199,8 @@ class RunBuffer:
 _NO_ORDER = np.empty(0, dtype=np.int32)
 
 
-def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocked=None):
+def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocked=None,
+               scratch=None):
     """Distances from the nearest of ``roots``, each starting at 0, through
     the kernel, or scipy where it cannot run (see :func:`distances_from`)."""
     members, offsets = (np.empty(0), 0.0) if stop is None else stop
@@ -168,7 +226,8 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocke
         _ptr(offsets, "f8"), _ptr(dist, "f8"), len(order), _ptr(order, "i4"),
         fields.shape[1], _ptr(fields, "f8"),
         None if xy is None else _ptr(xy, "f8", 2 * csr[0]),
-        target, kappa, None if blocked is None else _ptr(blocked, "?", csr[0]))
+        target, kappa, None if blocked is None else _ptr(blocked, "?", csr[0]),
+        None if scratch is None else _ptr(scratch, "f8", 3 * csr[0]))
     if settled < 0:
         raise MemoryError("no memory for a Dijkstra run")
     if into is not None:
@@ -254,7 +313,7 @@ def pairwise_distances(adj, vertices):
     1e-15 relative.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    mat = np.stack([distances_from(adj, v)[vertices] for v in vertices])
+    mat = np.stack([dist[vertices] for dist in runs_from(adj, vertices)])
     mat = np.minimum(mat, mat.T)
     np.fill_diagonal(mat, 0.0)
     for _ in range(len(vertices) + 1):
@@ -392,6 +451,17 @@ class MetricView:
         dist = distances_from(self.full, root, limit, blocked=self.boundary_mask)
         self._last = (int(root), None, limit, dist)
         return dist
+
+    def runs(self, roots, limits=np.inf):
+        """The arrays of :meth:`run` from each of ``roots``, up to its entry
+        of ``limits`` (one limit for all, or one per root), yielded in root
+        order by :func:`runs_from`; each becomes the latest run as it is
+        yielded, as after serial :meth:`run` calls."""
+        roots = [int(r) for r in roots]
+        limits = np.broadcast_to(limits, (len(roots),))
+        for i, dist in enumerate(runs_from(self.full, roots, limits, self.boundary_mask)):
+            self._last = (roots[i], None, limits[i], dist)
+            yield dist
 
     def ball(self, root, limit):
         """(vertices, distances) of the vertices a run from ``root`` through

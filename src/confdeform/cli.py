@@ -83,6 +83,8 @@ def _run_flags(args):
         raise ValueError("sample budget must be at least 1")
     if getattr(args, "inf_queries", 0) < 0:
         raise ValueError("sample counts must be nonnegative")
+    if args.seed < 0:  # numpy's generators take none
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if tol is not None and not 1.0 <= tol < math.inf:
         raise ValueError(f"tolerance factor must be finite and at least 1, got {tol}")
     return quad, None if tol is None else tol - 1.0

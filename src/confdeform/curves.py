@@ -212,7 +212,8 @@ def subcurve_excess_ratio(curve, metric="phi"):
     # summed in another order a few ulps above the length
     bound = max(total, left[-1]) * (1.0 + 1e-9)
     a, b = int(curve.vertices[0]), int(curve.vertices[-1])
-    dist = {v: view.run(v, bound) for v in sorted({a, b}, reverse=True)}
+    ends = sorted({a, b}, reverse=True)
+    dist = dict(zip(ends, view.runs(ends, bound)))
     whole = uniformity_constant(curve, metric,
                                 endpoint_distance=view.distance(a, b))
     clearance = bvals[curve.vertices]

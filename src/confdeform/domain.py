@@ -501,8 +501,7 @@ def estimate_metric_constants(domain, bdry_field=None, n_pairs=400, seed=0):
     cu = 1.0
     cq = 1.0
     used = 0
-    for s in sources:
-        dist = view.run(s)
+    for dist, s in zip(view.runs(sources), sources):  # each draw reads its run
         reachable = interior[np.isfinite(dist[interior])]
         reachable = reachable[reachable != s]
         if reachable.size == 0:

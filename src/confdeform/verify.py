@@ -62,10 +62,12 @@ _MAX_WITNESSES = 10
 
 def _rooted_pairs(view, groups, rng, n_sources, per_source):
     """(source, target, distances from source) over stratified sources.
-    Each source's targets are drawn after its full run; a target equal to
-    its source or unreachable from it is skipped."""
-    for s in stratified_pick(groups, rng, n_sources):
-        dist = view.run(s)
+    The sources are drawn first, then each source's targets in turn; no
+    draw reads a run, so the sources' full runs go ahead of the draws
+    (:meth:`MetricView.runs`) and the draws keep their order.  A target
+    equal to its source or unreachable from it is skipped."""
+    sources = stratified_pick(groups, rng, n_sources)
+    for dist, s in zip(view.runs(sources), sources):
         for t in stratified_pick(groups, rng, per_source):
             if t != s and np.isfinite(dist[t]):
                 yield s, t, dist
@@ -150,6 +152,7 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
     groups = shell_groups(dd, deep_side=True)
     rep = CheckReport(name="nearby_points", tolerance=tolerance, seed=seed)
     attempts = 0
+    drawn = []  # (x, m, base run limit, the drawn ys, their d_phi)
     while rep.samples < n_samples and attempts < 8 * n_samples:
         # rotate the starting shell so deep shells get their turn even
         # though shallow ones are usually excluded by the threshold
@@ -167,11 +170,14 @@ def check_nearby_points(dd, bundle, n_samples=200, seed=0, tolerance=None):
             continue
         take = cand if cand.size <= 3 else cand[rng.choice(cand.size, size=3, replace=False)]
         limit_d = bundle.c_a * thr / weight.value(2.0 ** m) * (1.0 + tolerance) * 1.01
-        dist_d = dd.domain.view.run(x, limit_d)
-        for y, dphi in zip(ball[take].tolist(), dist_phi[take].tolist()):
+        drawn.append((x, m, limit_d, ball[take].tolist(), dist_phi[take].tolist()))
+        rep.samples += take.size
+    # no draw reads a base run, so the runs go after all the draws
+    base_runs = dd.domain.view.runs([item[0] for item in drawn], [item[2] for item in drawn])
+    for dist_d, (x, m, _, ys, dphis) in zip(base_runs, drawn):
+        for y, dphi in zip(ys, dphis):
             d = float(dist_d[y])
             phim = weight.value(2.0 ** m)
-            rep.samples += 1
             if not np.isfinite(d):
                 # the upper comparison already fails at the search limit
                 rep.score(np.inf, {

@@ -198,6 +198,22 @@ def test_check_runs_every_dijkstra_in_the_kernel(monkeypatch):
     assert run(argv) == ran
 
 
+def test_check_and_report_write_the_same_bytes_on_one_cpu(tmp_path, monkeypatch):
+    # estimated constants, all 7 checkers and the synthesis audit, with the
+    # independent runs on a pool of three workers, then inline
+    def outputs(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out_dir = tmp_path / str(cpus)
+        checked = run(["check", *COMMON, "--no-timestamp"])
+        reported = run(["report", *COMMON, "--inf-queries", "4", "--out", str(out_dir),
+                        "--no-timestamp"])
+        return checked, reported, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    pooled = outputs(3)
+    assert pooled[0][0] == 0 and pooled[1][0] == 0 and len(pooled[2]) == 3
+    assert outputs(1) == pooled
+
+
 def test_check_default_includes_timestamp():
     code, out, _ = run(["check", *COMMON, "--cu", "2", "--cq", "1"])
     assert code == 0
@@ -328,6 +344,9 @@ def test_report_flags_synthesis_regression(tmp_path, monkeypatch):
     # every checker would pass, and the report's tolerance is no JSON number
     (["check", *COMMON, "--tol", "inf", "--cu", "2", "--cq", "1"],
      "tolerance factor must be finite and at least 1, got inf"),
+    # named, not numpy's "expected non-negative integer" once the domain is built
+    (["check", *COMMON, "--cu", "2", "--cq", "1", "--seed", "-1"],
+     "--seed must be nonnegative, got -1"),
 ])
 def test_bad_input_exits_2(argv, fragment):
     code, _, err = run(argv)
@@ -344,6 +363,15 @@ def test_negative_inf_queries_exit_2_before_the_domain_loads(monkeypatch):
                         "--inf-queries", "-3"])
     assert code == 2
     assert "sample counts must be nonnegative" in err
+
+
+def test_negative_seed_exits_2_before_the_domain_loads(monkeypatch):
+    def no_load(spec):
+        raise AssertionError("the domain was loaded")
+    monkeypatch.setattr(cli, "_load_domain", no_load)
+    code, _, err = run(["check", *COMMON, "--seed", "-1"])
+    assert code == 2
+    assert "--seed must be nonnegative" in err
 
 
 @pytest.mark.parametrize("checks", [",", "", "bogus"])

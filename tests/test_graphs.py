@@ -302,6 +302,7 @@ def test_kernel_calls_leave_no_reference_cycles(tmp_path):
         _graphs.distances_from(adj, 0, limit=1.1)
         _graphs.distances_from(adj, 0, stop=(np.array([3]), 0.0))
         _graphs.min_distance_field(adj, [0, 3])
+        assert _graphs.pairwise_distances(adj, [0, 3])[0, 1] == 2.0  # pooled runs
         assert _graphs.extract_path(adj, dist, 0, 3).tolist() == [0, 1, 3]
         assert domain._scan(path) is not None  # the C scanner reads the file
         dom = load_domain(path)
@@ -325,6 +326,10 @@ def test_goal_arrays_are_checked_before_the_kernel_reads_them():
             _graphs.distances_from(adj, 0, stop=stop, blocked=blocked)
         with pytest.raises(TypeError):
             _graphs.min_distance_field(adj, [0, 3], blocked=blocked)
+    # and the scratch block: too short, or not float64
+    for scratch in (np.empty(11), np.empty(12, np.float32), np.empty(24)[::2]):
+        with pytest.raises(TypeError):
+            _graphs.distances_from(adj, 0, stop=stop, scratch=scratch)
     # a zero field and kappa 0 steer nothing: the plain run
     assert _graphs.distances_from(adj, 0, goal=(np.zeros(4), np.zeros((4, 2)), 3, 0.0)
                                   ).tolist() == _graphs.distances_from(adj, 0).tolist()
@@ -433,3 +438,24 @@ def test_min_distance_field_falls_back_to_scipy(monkeypatch):
     monkeypatch.setattr(_graphs, "_kernel", None)
     for (_, adj, d, blocked), field in zip(cases, fields):
         assert np.array_equal(_graphs.min_distance_field(adj, d.frontier_idx, blocked), field)
+
+
+def test_caller_scratch_equals_the_kernels_own_allocation():
+    # one block serves every run, whatever the runs before it left there:
+    # full, bounded, stopped and steered, with and without a mask
+    rng = np.random.default_rng(12)
+    for name, adj, d, blocked in _deep_graphs():
+        n = adj.shape[0]
+        scratch = np.full(3 * n, np.nan)
+        field = _graphs.min_distance_field(adj, d.boundary_idx, blocked)
+        for root in rng.choice(n, 4, replace=False):
+            full = _graphs.distances_from(adj, root, blocked=blocked)
+            members = rng.choice(n, 6, replace=False)
+            stop = (members, rng.uniform(0.0, 1.0, members.size))
+            for run in ({}, {"limit": np.sort(full[np.isfinite(full)])[n // 4]},
+                        {"stop": stop}, {"stop": stop, "goal": (field, None, -1, 0.0)},
+                        {"stop": stop, "goal": (field, d.coords, int(members[0]), 1e-3)}):
+                want = _graphs.distances_from(adj, root, blocked=blocked, **run)
+                got = _graphs.distances_from(adj, root, blocked=blocked, scratch=scratch,
+                                             **run)
+                assert np.array_equal(got, want), (name, run.keys())

@@ -4,6 +4,9 @@ bounded runs, and no rebuilt matrix or repeated run on a warm domain."""
 import contextlib
 import io
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -868,3 +871,101 @@ def test_check_builds_no_landmarks(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert sweeps and min(sweeps) > 1
+
+
+def _cpus(monkeypatch, count):
+    """Let the run pool see ``count`` CPUs, whatever the host has."""
+    monkeypatch.setattr(_graphs.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "scipy"])
+def test_pooled_runs_equal_serial_runs(kernel, monkeypatch):
+    dom = generate_domain("half_plane:width=6,depth=6,h=0.1,conn=8")
+    dd = deform(dom, W2)
+    if not kernel:
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    rng = np.random.default_rng(4)
+    roots = rng.choice(dom.n_vertices, 9, replace=False)  # boundary roots too
+    limits = np.where(np.arange(roots.size) % 3, rng.uniform(0.5, 3.0, roots.size), np.inf)
+    verts = roots[:6]
+    _cpus(monkeypatch, 1)
+    adjs = (dom.adjacency, dd.adjacency_phi)
+    mats = [_graphs.pairwise_distances(adj, verts) for adj in adjs]
+    for cpus in (3, 1):  # three workers on fewer cores, then inline
+        _cpus(monkeypatch, cpus)
+        for view in (dom.view, dd.view):
+            for lims in (limits, 2.0):
+                each = np.broadcast_to(lims, roots.shape)
+                serial = [view.run(r, lim) for r, lim in zip(roots, each)]
+                want = view._last
+                view._last = None
+                got = []
+                for dist in view.runs(roots, lims):  # root order, each the latest run
+                    assert view._last[0] == roots[len(got)] and view._last[3] is dist
+                    got.append(dist)
+                assert len(got) == len(serial)
+                assert all(_same(a, b) for a, b in zip(got, serial))
+                assert view._last[:3] == want[:3] and _same(view._last[3], want[3])
+        for adj, mat in zip(adjs, mats):
+            assert _same(_graphs.pairwise_distances(adj, verts), mat)
+
+
+def test_no_more_runs_in_flight_than_workers(monkeypatch):
+    dom = half_plane(width=4, depth=8, h=0.25, conn=8)
+    _cpus(monkeypatch, 4)
+    lock, flying, peak, runs = threading.Lock(), [0], [0], []
+    orig = _graphs.distances_from
+
+    def wrapper(*args, **kwargs):
+        with lock:
+            flying[0] += 1
+            peak[0] = max(peak[0], flying[0])
+        try:
+            # a lost count would show as a peak past 4; the runs from odd
+            # roots end first, yet come out in root order
+            time.sleep(0.02 if args[1] % 2 == 0 else 0.002)
+            return orig(*args, **kwargs)
+        finally:
+            with lock:
+                flying[0] -= 1
+                runs.append(args[1])
+
+    monkeypatch.setattr(_graphs, "distances_from", wrapper)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        roots = list(range(0, dom.n_vertices, 7))
+        got = list(dom.view.runs(roots))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == len(roots) and sorted(runs) == roots
+    assert [int(np.flatnonzero(dist == 0.0)[0]) for dist in got] == roots
+    assert 1 < peak[0] <= 4
+    assert threading.active_count() == threads
+
+
+def test_a_failed_or_closed_call_leaves_no_thread(monkeypatch):
+    dom = half_plane(width=4, depth=8, h=0.25, conn=8)
+    _cpus(monkeypatch, 3)
+    roots, runs = list(range(0, dom.n_vertices, 5)), []
+    orig = _graphs.distances_from
+
+    def failing(*args, **kwargs):
+        runs.append(args[1])
+        if args[1] == roots[4]:
+            raise MemoryError("no memory for a Dijkstra run")
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(_graphs, "distances_from", failing)
+    threads, got = threading.active_count(), []
+    with pytest.raises(MemoryError):
+        for dist in dom.view.runs(roots):
+            got.append(dist)
+    # the runs before it came out; none past the pool's window started
+    assert len(got) == 4 and len(runs) <= 4 + 2 * 3
+    assert threading.active_count() == threads
+    calls = dom.view.runs(roots)
+    assert next(calls).size == dom.n_vertices
+    calls.close()
+    assert threading.active_count() == threads
