@@ -73,7 +73,7 @@ static inline void sift_down(entry *heap, int32_t *pos, int32_t size, entry e)
  * may hold anything on entry and needs no clearing.  Returns that index,
  * or -1. */
 static inline int32_t member(const int32_t *slot, int32_t n_stop,
-                             const int32_t *stop, int32_t v)
+                             const int64_t *stop, int32_t v)
 {
     uint32_t k = (uint32_t)slot[v] - 1;
     return k < (uint32_t)n_stop && stop[k] == v ? (int32_t)k : -1;
@@ -128,13 +128,15 @@ double cd_kappa(int32_t n, const int32_t *indptr, const int32_t *indices,
  * entry); every root starts at 0.  An edge relaxes only when
  * dist[u] + w <= limit.  The heap key is dist[v] + h(v), h the potential
  * toward vertex t, or toward the zeros of the n_field fields (at most
- * CD_MAX_FIELDS, in the n x n_field row-major block field) for t < 0; xy
+ * CD_MAX_FIELDS, in the n x n_field row-major block field) for t = -1; xy
  * is read only for t >= 0 and kappa > 0.
  * The run stops once the least key exceeds c = min(dist[v] + offset) over
  * the stop members settled so far; every vertex it did not settle then
  * reads inf, so without a goal dist is that of limit = c.
  * The first n_order vertices it settles go to order, in settling order.
- * Returns the number of vertices settled, or -1 when out of memory.
+ * Returns the number of vertices settled, -1 when out of memory, or -2,
+ * before it reads any array, when a root or a stop member is not in
+ * [0, n) or t not in [-1, n).
  * No n-sized array is cleared, so a run costs what it touches: pos[u] is
  * read only once dist[u] is finite, that is once this run pushed u, and
  * slot is a sparse set.  So the heap, pos and slot may come from a scratch
@@ -142,13 +144,21 @@ double cd_kappa(int32_t n, const int32_t *indptr, const int32_t *indices,
  * they liked (null: the run mallocs and frees its own); one run at a time
  * may use a block. */
 int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
-                    const double *data, int32_t n_root, const int32_t *roots,
-                    double limit, int32_t n_stop, const int32_t *stop,
+                    const double *data, int32_t n_root, const int64_t *roots,
+                    double limit, int32_t n_stop, const int64_t *stop,
                     const double *offset, double *dist, int32_t n_order,
                     int32_t *order, int32_t n_field, const double *field,
-                    const double *xy, int32_t t, double kappa,
+                    const double *xy, int64_t t, double kappa,
                     const uint8_t *blocked, void *scratch)
 {
+    if (t < -1 || t >= n)
+        return -2;
+    for (int32_t k = 0; k < n_root; k++)
+        if ((uint64_t)roots[k] >= (uint64_t)n)
+            return -2;
+    for (int32_t k = 0; k < n_stop; k++)
+        if ((uint64_t)stop[k] >= (uint64_t)n)
+            return -2;
     entry *heap = scratch ? scratch : malloc(n * sizeof *heap);
     int32_t *pos = scratch ? (int32_t *)(heap + n) : malloc(n * sizeof *pos);
     int32_t *slot = scratch ? pos + n : malloc(n * sizeof *slot);
@@ -165,15 +175,17 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
         return -1;
     }
     for (int32_t k = 0; k < n_stop; k++) {  /* slot[v]: 1 + its least offset */
-        int32_t m = member(slot, n_stop, stop, stop[k]);
+        int32_t m = member(slot, n_stop, stop, (int32_t)stop[k]);
         if (m < 0 || offset[k] < offset[m])
             slot[stop[k]] = k + 1;
     }
-    for (int32_t k = 0; k < n_root; k++)
-        if (dist[roots[k]] == INFINITY) {  /* equal keys: each push stays */
-            dist[roots[k]] = 0.0;
-            sift_up(heap, pos, size++, (entry){potential(&to, roots[k]), roots[k]});
+    for (int32_t k = 0; k < n_root; k++) {
+        int32_t r = (int32_t)roots[k];
+        if (dist[r] == INFINITY) {  /* equal keys: each push stays */
+            dist[r] = 0.0;
+            sift_up(heap, pos, size++, (entry){potential(&to, r), r});
         }
+    }
     while (size > 0 && !(heap[0].key > c)) {
         entry top = heap[0];
         double g = dist[top.v];
@@ -214,18 +226,25 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     return settled;
 }
 
-/* Walk from start down dist to the first vertex where it is 0, into path;
- * each step takes the smallest u with dist[u] + w(u, v) == dist[v], and
- * pos[i] is the entry j of row path[i] at which it took path[i + 1].  On a
- * run from one root (positive weights) that vertex is the root; on a field
- * from many, the walk is a shortest path from start to a nearest root.
- * Returns the length, -1 when a vertex has no such u, or -2 when the walk
- * would exceed n vertices. */
+/* Walk from start down dist to the first vertex where it is 0, into path
+ * (room for cap <= n vertices) and pos (cap - 1 entries); each step takes
+ * the smallest u with dist[u] + w(u, v) == dist[v], and pos[i] is the
+ * entry j of row path[i] at which it took path[i + 1].  On a run from one
+ * root (positive weights) that vertex is the root; on a field from many,
+ * the walk is a shortest path from start to a nearest root.
+ * Returns the length, -1 when a vertex has no such u, -2 when the walk
+ * would exceed cap vertices (at cap = n: it cycles), -3 when start is not
+ * in [0, n), or -4 when dist[start] is not finite; it reads no array
+ * before that test of start. */
 int32_t cd_walk(int32_t n, const int32_t *indptr, const int32_t *indices,
-                const double *data, const double *dist, int32_t start,
-                int64_t *path, int64_t *pos)
+                const double *data, const double *dist, int64_t start,
+                int32_t cap, int64_t *path, int64_t *pos)
 {
-    int32_t len = 1, v = start;
+    if (start < 0 || start >= n)
+        return -3;
+    if (!isfinite(dist[start]))
+        return -4;
+    int32_t len = 1, v = (int32_t)start;
     path[0] = v;
     while (dist[v] != 0.0) {
         int32_t best = -1;
@@ -235,7 +254,7 @@ int32_t cd_walk(int32_t n, const int32_t *indptr, const int32_t *indices,
                 best = j;
         if (best < 0)
             return -1;
-        if (len == n)
+        if (len == cap)
             return -2;
         pos[len - 1] = best;
         path[len++] = v = indices[best];

@@ -12,9 +12,11 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
+import operator
 import os
 import queue
 import subprocess
+import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
@@ -49,9 +51,9 @@ def _load_kernel():
         return None
     i32, i64, f64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p,
-                                   i32, p, p, i32, f64, p, p]
+                                   i32, p, p, i64, f64, p, p]
     kernel.cd_kappa.argtypes, kernel.cd_kappa.restype = [i32, p, p, p, p], f64
-    kernel.cd_walk.argtypes = [i32, p, p, p, p, i32, p, p]
+    kernel.cd_walk.argtypes = [i32, p, p, p, p, i64, i32, p, p]
     kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p, p, p]
     kernel.cd_dijkstra.restype = kernel.cd_walk.restype = i32
     kernel.cd_scan.restype = ctypes.c_int
@@ -64,23 +66,83 @@ _MAX_FIELDS = ctypes.c_int32.in_dll(_kernel, "cd_max_fields").value if _kernel e
 
 def _ptr(arr, dtype, size=0):
     """The address of ``arr``, a C-contiguous ``dtype`` array of at least ``size``
-    entries (or a TypeError), for a call during which the caller holds ``arr``."""
+    entries (or a TypeError), for a call during which the caller holds ``arr``.
+    numpy builds a ctypes view to read it, which can cost more than a small
+    run, so an array that lives across calls has it taken once, as a pin
+    (:meth:`_Binding.pin`)."""
     if arr.dtype != dtype or not arr.flags.c_contiguous or arr.size < size:
         raise TypeError(f"the kernel takes big enough C-contiguous {np.dtype(dtype)} arrays")
     return arr.ctypes.data
 
 
-def _csr(adj, *vertices):
-    """(n, indptr, indices, data) as the kernel takes them, once each of
-    ``vertices`` (an index or an array of them) is checked in range; None
-    where scipy runs: no kernel, or not a float64 CSR matrix of int32 indices."""
-    if (_kernel is None or getattr(adj, "format", None) != "csr"
-            or adj.indices.dtype != np.int32 or adj.data.dtype != np.float64):
+class _Binding:
+    """What the kernel takes of one float64 CSR matrix of int32 indices, kept
+    on the matrix (:func:`_csr`): ``args``, its ``(n, indptr, indices, data)``
+    as addresses, and the pins of the long-lived arrays that calls on it
+    pass beside it.  It refers to every array weakly, so it keeps none of
+    them alive: a pin dies with its array, and the matrix's own arrays are
+    told apart from ones rebound in their place by identity."""
+
+    __slots__ = ("arrays", "args", "pins")
+
+    def __init__(self, adj, pins):
+        self.arrays = tuple(map(weakref.ref, (adj.indptr, adj.indices, adj.data)))
+        self.args = (adj.shape[0], _ptr(adj.indptr, "i4", adj.shape[0] + 1),
+                     _ptr(adj.indices, "i4"), _ptr(adj.data, "f8", adj.indices.size))
+        self.pins = pins  # id(array) -> (weak reference, dtype, size, address)
+
+    def holds(self, adj):
+        indptr, indices, data = self.arrays
+        return indptr() is adj.indptr and indices() is adj.indices and data() is adj.data
+
+    def pin(self, *arrays):
+        """Take the address of each C-contiguous array of ``arrays`` once, for
+        every later call on this matrix that passes that array."""
+        pins = {key: pin for key, pin in self.pins.items() if pin[0]() is not None}
+        for arr in arrays:
+            if arr is not None and arr.flags.c_contiguous:
+                pins[id(arr)] = (weakref.ref(arr), arr.dtype, arr.size,
+                                 _ptr(arr, arr.dtype))
+        self.pins = pins  # one assignment: a worker thread reads either dict whole
+
+    def at(self, arr, dtype, size=0):
+        """:func:`_ptr` of ``arr``, read from its pin where it has one."""
+        pin = self.pins.get(id(arr))
+        if pin is not None and pin[0]() is arr and pin[1] == dtype and pin[2] >= size:
+            return pin[3]
+        return _ptr(arr, dtype, size)
+
+
+def _csr(adj):
+    """The :class:`_Binding` of ``adj``, kept on it as ``_binding`` and made
+    anew (keeping its pins) once ``adj`` holds other arrays than it was made
+    from; None where scipy runs: no kernel, or not a float64 CSR matrix of
+    int32 indices.  The kernel checks the vertex indices it is given."""
+    if _kernel is None:
         return None
-    n = adj.shape[0]
+    binding = getattr(adj, "_binding", None)
+    if binding is not None and binding.holds(adj):
+        return binding
+    if (getattr(adj, "format", None) != "csr" or adj.indices.dtype != np.int32
+            or adj.data.dtype != np.float64):
+        return None
+    adj._binding = binding = _Binding(adj, {} if binding is None else binding.pins)
+    return binding
+
+
+def _pin(adj, *arrays):
+    """Pin ``arrays`` (:meth:`_Binding.pin`) to ``adj`` where the kernel runs on it."""
+    binding = _csr(adj)
+    if binding is not None:
+        binding.pin(*arrays)
+
+
+def _check_range(n, *vertices):
+    """Raise IndexError unless every entry of ``vertices`` (indices or arrays
+    of them) is in ``[0, n)``; the kernel checks its own, so this serves
+    the scipy runs and walks."""
     if not all(((0 <= np.asarray(v)) & (np.asarray(v) < n)).all() for v in vertices):
         raise IndexError(f"vertex index out of range for {n} vertices")
-    return n, _ptr(adj.indptr, "i4"), _ptr(adj.indices, "i4"), _ptr(adj.data, "f8")
 
 
 def build_adjacency(n_vertices, edge_u, edge_v, edge_len):
@@ -107,8 +169,14 @@ def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None, b
     ``drop_incident_edges(adj, blocked)``.  ``scratch``, a float64 array of
     ``3 n`` entries that one run at a time may use, holds the kernel's heap
     in place of its own allocation.  scipy, run where the kernel cannot,
-    ignores ``stop``, ``into``, ``goal`` and ``scratch``."""
-    return _distances(adj, np.array([source]), limit, stop, into, goal, blocked, scratch)
+    ignores ``stop``, ``into``, ``goal`` and ``scratch``.
+
+    A call costs what the kernel does plus a few µs of Python: the matrix's
+    arguments and the addresses of pinned arrays (the views pin their mask,
+    coordinates, steering fields and buffer) are read, not taken again, and
+    the kernel checks ``source``, the stop members and ``t`` in range,
+    raising IndexError here, before it reads any array."""
+    return _distances(adj, source, limit, stop, into, goal, blocked, scratch)
 
 
 def runs_from(adj, roots, limits=np.inf, blocked=None):
@@ -129,7 +197,7 @@ def runs_from(adj, roots, limits=np.inf, blocked=None):
     """
     roots = [int(r) for r in roots]
     limits = np.broadcast_to(np.asarray(limits, dtype=float), (len(roots),))
-    csr = _csr(adj, roots)
+    csr = _csr(adj)
     workers = min(len(os.sched_getaffinity(0)), len(roots))
     if csr is None or workers < 2:
         for root, limit in zip(roots, limits):
@@ -137,7 +205,9 @@ def runs_from(adj, roots, limits=np.inf, blocked=None):
         return
     blocks = queue.SimpleQueue()  # no more runs in flight than blocks: none waits
     for _ in range(workers):
-        blocks.put(np.empty(3 * csr[0]))
+        block = np.empty(3 * csr.args[0])
+        csr.pin(block)
+        blocks.put(block)
 
     def run(root, limit, into):
         scratch = blocks.get()
@@ -152,7 +222,7 @@ def runs_from(adj, roots, limits=np.inf, blocked=None):
         try:
             for root, limit in zip(roots, limits):
                 # RunBuffer(n, 0): an inf array and no order
-                pending.append(pool.submit(run, root, limit, RunBuffer(csr[0], 0)))
+                pending.append(pool.submit(run, root, limit, RunBuffer(csr.args[0], 0)))
                 if len(pending) == 2 * workers:
                     yield pending.popleft().result()
         except BaseException:  # closed early, or a run raised: start no more
@@ -166,7 +236,7 @@ def min_distance_field(adj, sources, blocked=None):
     """Distance from every vertex to the nearest vertex of ``sources`` (on
     ``drop_incident_edges(adj, blocked)`` with a mask): one multi-source
     sweep, much cheaper than a run per source."""
-    sources = np.asarray(sources, dtype=np.int64)
+    sources = _vertices(sources)
     if sources.size == 0:
         raise ValueError("min_distance_field needs at least one source vertex")
     return _distances(adj, sources, blocked=blocked)
@@ -175,7 +245,9 @@ def min_distance_field(adj, sources, blocked=None):
 class RunBuffer:
     """An all-``inf`` distance array that kernel runs fill in place of a new
     one, with the first ``order.size`` vertices the latest run settled and
-    how many it settled, so the next run can undo just those.
+    how many it settled, so the next run can undo just those.  Whoever
+    keeps one across calls pins its arrays to the matrix it runs on
+    (:func:`_pin`), so that a call takes no address of theirs.
 
     ``dist`` and ``order`` share one allocation.  A small ``order`` of its
     own, made in the middle of a command and kept to its end, can pin the
@@ -195,44 +267,94 @@ class RunBuffer:
         self.order = block[n:].view(np.int32)[:capacity]
         self.settled = 0
 
+    def run(self, adj, root, **run):
+        """(dist, settled) of ``distances_from(adj, root, into=self, **run)``,
+        once the latest run's entries are reset: ``settled``, the part of
+        ``order`` that lists the vertices it settled, is None where scipy
+        ran or they overflowed the order, and ``dist`` is then an array of
+        its own; a clean one, pinned to ``adj``, takes its place here."""
+        self.dist[self.order[:self.settled]] = np.inf
+        self.settled = 0
+        dist = distances_from(adj, root, into=self, **run)
+        if self.settled > self.order.size:
+            self.renew()
+            _pin(adj, self.dist, self.order)
+        return dist, self.order[:self.settled] if dist is self.dist else None
 
-_NO_ORDER = np.empty(0, dtype=np.int32)
+
+def _vertices(v):
+    """``v``, a vertex index or an array of them, as the int64 array whose
+    entries the kernel checks in range; IndexError where one cannot be an
+    index (a float, or past 64 bits)."""
+    v = np.asarray(v)
+    if v.size and v.dtype.kind not in "biu":
+        raise IndexError(f"vertex indices must be integers, not {v.dtype}")
+    return np.ascontiguousarray(v, dtype=np.int64).reshape(-1)  # uint64 past 2**63: < 0
+
+
+def _int64(v):
+    """The integer ``v`` as the kernel's int64 scalars take it, which ctypes
+    would wrap in silence past 64 bits (IndexError); the kernel checks its
+    range."""
+    v = operator.index(v)
+    if not -2**63 <= v < 2**63:
+        raise IndexError(f"vertex index {v} out of range")
+    return v
 
 
 def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocked=None,
                scratch=None):
-    """Distances from the nearest of ``roots``, each starting at 0, through
-    the kernel, or scipy where it cannot run (see :func:`distances_from`)."""
-    members, offsets = (np.empty(0), 0.0) if stop is None else stop
+    """Distances from the nearest of ``roots`` (one index, or an array of
+    them), each starting at 0, through the kernel, or scipy where it cannot
+    run (see :func:`distances_from`)."""
+    members, offsets = (None, None) if stop is None else stop
     fields, xy, target, kappa = goal or (None, None, -1, 0.0)
-    csr = _csr(adj, roots, members, max(target, 0))  # -1: the fields' zeros
+    csr = _csr(adj)
     if csr is None:
+        # the kernel's checks: t = -1 steers toward the fields' zeros
+        _check_range(adj.shape[0], roots, () if members is None else members,
+                     0 if target == -1 else target)
         return dijkstra(adj if blocked is None else drop_incident_edges(adj, blocked),
                         directed=True, indices=roots, limit=limit, min_only=True)
-    fields = np.empty((csr[0], 0)) if fields is None else fields
-    if isinstance(fields, np.ndarray) and fields.ndim == 1:
-        fields = fields[:, None]  # a view: one column
-    if (not isinstance(fields, np.ndarray) or fields.ndim != 2 or len(fields) != csr[0]
-            or fields.shape[1] > _MAX_FIELDS):
-        raise TypeError(f"the kernel takes an ({csr[0]},) array or an ({csr[0]}, k) "
-                        f"block of k <= {_MAX_FIELDS} fields")
-    roots = np.ascontiguousarray(roots, dtype=np.int32)
-    members = np.ascontiguousarray(members, dtype=np.int32)
-    offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape), float)
-    dist, order = ((np.full(csr[0], np.inf), _NO_ORDER) if into is None
-                   else (into.dist, into.order))
+    n = csr.args[0]
+    if fields is not None:
+        if isinstance(fields, np.ndarray) and fields.ndim == 1:
+            fields = fields[:, None]  # a view: one column
+        if (not isinstance(fields, np.ndarray) or fields.ndim != 2 or len(fields) != n
+                or fields.shape[1] > _MAX_FIELDS):
+            raise TypeError(f"the kernel takes an ({n},) array or an ({n}, k) "
+                            f"block of k <= {_MAX_FIELDS} fields")
+    if isinstance(roots, np.ndarray):
+        n_root, at_roots = len(roots), _ptr(roots, "i8")
+    else:  # one root, passed by reference: no array to make
+        n_root, at_roots = 1, ctypes.byref(ctypes.c_int64(_int64(roots)))
+    n_stop, at_members, at_offsets = 0, None, None
+    if members is not None:
+        members = _vertices(members)
+        offsets = np.asarray(offsets, dtype=float)
+        if offsets.shape != members.shape or not offsets.flags.c_contiguous:
+            offsets = np.ascontiguousarray(np.broadcast_to(offsets, members.shape))
+        n_stop, at_members, at_offsets = len(members), _ptr(members, "i8"), _ptr(offsets, "f8")
+    dist = np.full(n, np.inf) if into is None else into.dist
+    n_order = 0 if into is None else len(into.order)
     settled = _kernel.cd_dijkstra(
-        *csr, len(roots), _ptr(roots, "i4"), limit, len(members), _ptr(members, "i4"),
-        _ptr(offsets, "f8"), _ptr(dist, "f8"), len(order), _ptr(order, "i4"),
-        fields.shape[1], _ptr(fields, "f8"),
-        None if xy is None else _ptr(xy, "f8", 2 * csr[0]),
-        target, kappa, None if blocked is None else _ptr(blocked, "?", csr[0]),
-        None if scratch is None else _ptr(scratch, "f8", 3 * csr[0]))
+        *csr.args, n_root, at_roots, limit, n_stop, at_members, at_offsets,
+        csr.at(dist, "f8", n), n_order, csr.at(into.order, "i4") if n_order else None,
+        0 if fields is None else fields.shape[1],
+        None if fields is None else csr.at(fields, "f8"),
+        None if xy is None else csr.at(xy, "f8", 2 * n), _int64(target), kappa,
+        None if blocked is None else csr.at(blocked, "?", n),
+        None if scratch is None else csr.at(scratch, "f8", 3 * n))
     if settled < 0:
+        if settled == -2:
+            raise IndexError(f"vertex index out of range for {n} vertices")
         raise MemoryError("no memory for a Dijkstra run")
     if into is not None:
         into.settled = settled
     return dist
+
+
+_WALK = 1024  # the vertices a walk first makes room for; a longer one grows it 8-fold
 
 
 def descend(adj, dist, start):
@@ -240,23 +362,36 @@ def descend(adj, dist, start):
     ``dist`` to the first vertex at 0, each step to the least-index neighbour u
     with ``dist[u] + w(u, v) == dist[v]`` (exact: the relaxation parent satisfies
     it).  On a run's array the walk ends at the root; on a
-    :func:`min_distance_field`, at a nearest source by a shortest path."""
-    start = int(start)
-    if not np.isfinite(dist[start]):
-        raise ValueError(f"vertex {start} has no finite distance to walk down")
+    :func:`min_distance_field`, at a nearest source by a shortest path.  The
+    kernel walks into a buffer of ``_WALK`` vertices, made larger and walked
+    again only for a longer walk."""
     errors = {-1: "no optimal predecessor found; distance array does not "
                   "match the adjacency matrix",
               -2: "path extraction cycled; inconsistent distances"}
-    csr, n = _csr(adj, start), adj.shape[0]
+    csr, n = _csr(adj), adj.shape[0]
     if csr is not None:
-        dist, walk = np.ascontiguousarray(dist, float), np.empty((2, n), dtype=np.int64)
+        dist = np.ascontiguousarray(dist, float)
         if dist.shape != (n,):
             raise ValueError(f"distance array of shape {dist.shape} for {n} vertices")
-        k = _kernel.cd_walk(*csr, _ptr(dist, "f8"), start, _ptr(walk[0], "i8"),
-                            _ptr(walk[1], "i8"))
+        at_dist, first, cap = csr.at(dist, "f8", n), _int64(start), min(n, _WALK)
+        while True:
+            walk = np.empty(2 * cap, dtype=np.int64)  # the path, then the entries
+            at = _ptr(walk, "i8")
+            k = _kernel.cd_walk(*csr.args, at_dist, first, cap, at, at + 8 * cap)
+            if k != -2 or cap == n:
+                break
+            cap = min(n, 8 * cap)
+        if k == -3:
+            raise IndexError(f"vertex index {start} out of range for {n} vertices")
+        if k == -4:
+            raise ValueError(f"vertex {start} has no finite distance to walk down")
         if k < 0:
             raise RuntimeError(errors[k])
-        return walk[0, :k].copy(), walk[1, :k - 1].copy()
+        return walk[:k].copy(), walk[cap:cap + k - 1].copy()
+    start = int(start)
+    _check_range(n, start)
+    if not np.isfinite(dist[start]):
+        raise ValueError(f"vertex {start} has no finite distance to walk down")
     path, entries = [start], []
     while dist[path[-1]] != 0:
         lo, hi = adj.indptr[path[-1]], adj.indptr[path[-1] + 1]
@@ -381,6 +516,7 @@ class MetricView:
         self.boundary_mask = boundary_mask
         self.frontier_idx = np.asarray(frontier_idx, dtype=np.int64)
         self.coords = None if coords is None else np.ascontiguousarray(coords, float)
+        _pin(self.full, boundary_mask, self.coords)
         self._memo = {}  # (root, other) -> distance, oldest first
         self._last = None  # (root, goal, radius up to which it is exact, dist)
         self._steers = {}  # field name -> the block of its fields that may steer, or None
@@ -415,14 +551,17 @@ class MetricView:
     interior = property(lambda self: drop_incident_edges(self.full, self.boundary_mask))
 
     @cached_property
-    def frontier_field(self):
-        return min_distance_field(self.full, self.frontier_idx, self.boundary_mask)
+    def frontier_field(self):  # escapes walk it
+        field = min_distance_field(self.full, self.frontier_idx, self.boundary_mask)
+        _pin(self.full, field)
+        return field
 
     @cached_property
     def _kappa(self):
         """``cd_kappa`` of the coordinates; 0 without them or the kernel."""
         csr = self.coords is not None and _csr(self.full)
-        return _kernel.cd_kappa(*csr, _ptr(self.coords, "f8", 2 * csr[0])) if csr else 0.0
+        return _kernel.cd_kappa(*csr.args, csr.at(self.coords, "f8", 2 * csr.args[0])
+                                ) if csr else 0.0
 
     def _goal(self, name, target):
         """The kernel's goal toward vertex ``target`` (-1: the fields' zeros)
@@ -438,12 +577,15 @@ class MetricView:
                                                  where=np.isfinite(fields))
             self._steers[name] = (None if not keep.any() else fields if keep.all()
                                   else np.ascontiguousarray(fields[:, keep]))
+            _pin(self.full, self._steers[name])
         fields = self._steers[name]
         return None if fields is None else (fields, self.coords, target, self._kappa)
 
     @cached_property
     def _buffer(self):
-        return RunBuffer(self.full.shape[0], self.full.shape[0] // 16)
+        buf = RunBuffer(self.full.shape[0], self.full.shape[0] // 16)
+        _pin(self.full, buf.dist, buf.order)
+        return buf
 
     def run(self, root, limit=np.inf):
         """Distances from ``root`` through the open domain, up to ``limit``,
@@ -477,18 +619,9 @@ class MetricView:
         return vertices, dist[vertices]
 
     def _buffered(self, root, **run):
-        """(dist, settled) of a run from ``root`` through the open domain into
-        the view's buffer, once the latest run's entries are reset:
-        ``settled``, the part of the buffer's order that lists the vertices
-        it settled, is None where scipy ran or they overflowed the order,
-        and ``dist`` is then an array of its own."""
-        buf = self._buffer
-        buf.dist[buf.order[:buf.settled]] = np.inf
-        buf.settled = 0
-        dist = distances_from(self.full, root, into=buf, blocked=self.boundary_mask, **run)
-        if buf.settled > buf.order.size:
-            buf.renew()
-        return dist, buf.order[:buf.settled] if dist is buf.dist else None
+        """:meth:`RunBuffer.run` of a run from ``root`` through the open domain
+        into the view's buffer."""
+        return self._buffer.run(self.full, root, blocked=self.boundary_mask, **run)
 
     def nearest(self, root, members, offsets=0.0, goal=None):
         """(dist, c) of a run from ``root`` stopped at the least ``c = dist[m]
@@ -499,12 +632,13 @@ class MetricView:
         until the view's next run, and not to be written."""
         root, last = int(root), self._last
         if last is not None and last[0] == root:
-            c = float(np.min(last[3][members] + offsets, initial=np.inf))
+            _check_range(len(last[3]), members)  # numpy reads a negative index from the end
+            c = float((last[3][members] + offsets).min(initial=np.inf))
             if c <= last[2] or (goal is not None and goal == last[1]):
                 return last[3], c
         steer = goal and _kernel and self._goal(*goal)  # scipy ignores goals
         dist = self._buffered(root, stop=(members, offsets), goal=steer)[0]
-        c = float(np.min(dist[members] + offsets, initial=np.inf))
+        c = float((dist[members] + offsets).min(initial=np.inf))
         self._last = (root, goal, -np.inf if steer else c, dist)
         return dist, c
 

@@ -126,12 +126,16 @@ class MetricDomain:
         return _id_lookup(self.ids)
 
     def index(self, vertex_id):
-        """Row index of a vertex id, a Python or numpy integer."""
+        """Row index of a vertex id, a Python or numpy integer: the id itself
+        where row ``vertex_id`` holds it, as on every generated domain and
+        every file saved from one, else by the binary search of ``_by_id``."""
         try:
-            vid = _integers([operator.index(vertex_id)], "a vertex id")
+            vid = operator.index(vertex_id)
         except TypeError:
             raise DomainError(f"a vertex id must be an integer, got {vertex_id!r}") from None
-        return int(self._by_id(vid, "unknown vertex id")[0])
+        if 0 <= vid < self.n_vertices and self.ids[vid] == vid:
+            return vid
+        return int(self._by_id(_integers([vid], "a vertex id"), "unknown vertex id")[0])
 
     def vertex_id(self, idx):
         return int(self.ids[int(idx)])

@@ -314,7 +314,9 @@ def check_boundary_identification(dd, bundle, n_samples=200, seed=0,
     ``d <= d_phi <= cq * d`` with the empirical quasiconvexity constant.
 
     Distances run on the full graph: curves between boundary points live in
-    the closure, where travelling along the boundary is legitimate.
+    the closure, where travelling along the boundary is legitimate.  Each
+    run fills one of two reused buffers, and only the few vertices it
+    settled are read, in index order.
     """
     tolerance = default_tolerance(dd, tolerance)
     rng = np.random.default_rng(seed)
@@ -325,19 +327,21 @@ def check_boundary_identification(dd, bundle, n_samples=200, seed=0,
     bmask = domain.boundary_mask
     rep = CheckReport(name="boundary_identification", tolerance=tolerance,
                       seed=seed, notes={"cq": bundle.cq})
+    buf_d, buf_phi = (_graphs.RunBuffer(domain.n_vertices, domain.n_vertices // 16)
+                      for _ in range(2))
     attempts = 0
     while rep.samples < n_samples and attempts < 6 * n_samples:
         attempts += 1
         z = int(rng.choice(boundary))
-        dist_d = _graphs.distances_from(adj_d, z, limit=0.1000001)
-        cand = np.nonzero(np.isfinite(dist_d) & (dist_d > 0) & bmask)[0]
-        cand = cand[dist_d[cand] <= 0.1]
+        dist_d, reached = buf_d.run(adj_d, z, limit=0.1000001)
+        reached = np.flatnonzero(np.isfinite(dist_d)) if reached is None else np.sort(reached)
+        cand = reached[(dist_d[reached] > 0) & bmask[reached] & (dist_d[reached] <= 0.1)]
         if cand.size == 0:
             rep.excluded += 1
             continue
         take = cand if cand.size <= 4 else rng.choice(cand, size=4, replace=False)
         # phi <= 1, so d_phi <= d <= 0.1: the base run's limit serves
-        dist_phi = _graphs.distances_from(adj_phi, z, limit=0.1000001)
+        dist_phi = buf_phi.run(adj_phi, z, limit=0.1000001)[0]
         for y in take:
             d = float(dist_d[y])
             dphi = float(dist_phi[y])

@@ -4,6 +4,7 @@ import gc
 import logging
 import shutil
 import subprocess
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -459,3 +460,152 @@ def test_caller_scratch_equals_the_kernels_own_allocation():
                 got = _graphs.distances_from(adj, root, blocked=blocked, scratch=scratch,
                                              **run)
                 assert np.array_equal(got, want), (name, run.keys())
+
+
+# -- the kernel checks its indices; bindings follow and never keep arrays ----
+
+
+def _ladder(n):
+    """A path 0 - 1 - ... - n-1 of unit edges."""
+    return _graphs.build_adjacency(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "scipy"])
+def test_out_of_range_indices_raise_before_a_run(kernel, monkeypatch):
+    # roots, stop members, targets and walk starts out of range, negative or
+    # past int32, raise IndexError; the buffer a run would fill stays clean
+    if not kernel:
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    adj, stop = _diamond(), (np.array([3]), 0.0)
+    dist = _graphs.distances_from(adj, 0)
+    buf = _graphs.RunBuffer(4, 4)
+    for bad in (-1, 4, 2**31, -2**31 - 1, 2**32, 2**63, 2**64):
+        calls = [lambda: _graphs.distances_from(adj, bad),
+                 lambda: _graphs.distances_from(adj, 0, stop=(np.array([3, bad]), 0.0),
+                                                into=buf),
+                 lambda: _graphs.distances_from(adj, 0, stop=([bad], [0.5]), into=buf),
+                 lambda: list(_graphs.runs_from(adj, [0, bad])),
+                 lambda: _graphs.min_distance_field(adj, [0, bad]),
+                 lambda: _graphs.descend(adj, dist, bad)]
+        if -2**63 <= bad < 2**63:  # numpy holds it in an int64 array
+            calls.append(lambda: _graphs.distances_from(
+                adj, 0, stop=(np.array([bad], dtype=np.int64), 0.0), into=buf))
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+            assert np.isinf(buf.dist).all() and buf.settled == 0
+    for bad in (-2, 4, 2**31, -2**31, 2**64):  # -1 steers toward the fields' zeros
+        with pytest.raises(IndexError):
+            _graphs.distances_from(adj, 0, stop=stop, into=buf,
+                                   goal=(np.zeros(4), None, bad, 0.0))
+        assert np.isinf(buf.dist).all() and buf.settled == 0
+    # a view's stopped runs, fresh and when the latest run would answer
+    dom = generate_domain("half_plane:width=2,depth=2,h=0.5,conn=8")
+    view = dom.view
+    x = int(np.flatnonzero(~dom.boundary_mask)[0])
+    for bad in (-1, dom.n_vertices, 2**31):
+        with pytest.raises(IndexError):
+            view.nearest(bad, np.array([x]))
+        with pytest.raises(IndexError):
+            view.nearest(x, np.array([bad]))
+        view.run(x)  # the latest run, from x
+        with pytest.raises(IndexError):
+            view.nearest(x, np.array([x, bad]), 0.0)
+        with pytest.raises(IndexError):
+            view.geodesic(x, bad)
+
+
+def test_a_binding_follows_rebound_arrays(monkeypatch):
+    adj = _deep_graphs()[3][1]  # the slit plane under random lengths
+    n = adj.shape[0]
+    before = _graphs.distances_from(adj, 5)
+    old = weakref.ref(adj.data)
+    adj.data = adj.data[::-1].copy()
+    assert old() is None  # the binding kept the old array no longer
+    for root in (5, n // 2):
+        want = dijkstra(adj, directed=True, indices=root)
+        assert np.array_equal(_graphs.distances_from(adj, root), want)
+    assert not np.array_equal(_graphs.distances_from(adj, 5), before)
+    walk = _graphs.descend(adj, want, 5)
+    # a pin dies with its array, and a pin left under the id of another
+    # array is no pin of that one: its address is checked and taken anew
+    binding = _graphs._csr(adj)
+    dead = np.zeros(n, bool)
+    binding.pin(dead)
+    pin = binding.pins[id(dead)]
+    del dead
+    assert pin[0]() is None
+    other = np.zeros(n, np.uint8)
+    binding.pins[id(other)] = pin
+    with pytest.raises(TypeError):
+        _graphs.distances_from(adj, 0, blocked=other)
+    binding.pin(np.zeros(n, bool))  # a pin sweeps out the dead ones
+    assert id(other) not in binding.pins
+    monkeypatch.setattr(_graphs, "_kernel", None)
+    assert all(np.array_equal(a, b) for a, b in zip(walk, _graphs.descend(adj, want, 5)))
+
+
+def test_dropped_domains_leave_no_bound_array_alive():
+    # pins hold their arrays weakly: with the domain gone, its steering
+    # block, buffer and mask die even while a caller keeps the matrix
+    dom = generate_domain("half_plane:width=4,depth=8,h=0.25,conn=8")
+    dd = deform(dom, WeightFunction.power(2))
+    x, y = dom.nearest_vertex(0.5, 2.0), dom.nearest_vertex(-1.0, 6.0)
+    assert dd.dphi_geodesic(x, y).total_phi > 0.0 and dom.distance(x, y) > 0.0
+    assert dd.dist_to_infinity(int(dom.ids[dom.boundary_idx[3]])).upper > 0.0
+    view = dd.view
+    kept = view.full
+    refs = [weakref.ref(a) for a in (dom.view.full, dom.view.full.data, view.pair_fields,
+                                     view._buffer.dist, dom.boundary_mask, view.coords,
+                                     view.frontier_field, *view._steers.values())]
+    assert len(_graphs._csr(kept).pins) >= 6
+    del dom, dd, view
+    gc.collect()
+    assert [r() is None for r in refs] == [True] * len(refs)
+    assert _graphs.distances_from(kept, 0).size == kept.shape[0]
+
+
+def test_a_walk_longer_than_its_first_buffer_equals_the_python_walk(monkeypatch):
+    n = 10 * _graphs._WALK  # past two growths
+    adj = _ladder(n)
+    dist = _graphs.distances_from(adj, 0)
+    got = [_graphs.descend(adj, dist, start) for start in (n - 1, _graphs._WALK, 3)]
+    assert [len(path) for path, _ in got] == [n, _graphs._WALK + 1, 4]
+    monkeypatch.setattr(_graphs, "_kernel", None)
+    for start, (path, entries) in zip((n - 1, _graphs._WALK, 3), got):
+        want = _graphs.descend(adj, dist, start)
+        assert path.tobytes() == want[0].tobytes() and entries.tobytes() == want[1].tobytes()
+
+
+def test_warm_queries_take_no_address_of_a_long_lived_array(monkeypatch):
+    # a steered pair query, a ball, a frontier run and a geodesic walk read
+    # the addresses of the view's matrix, mask, coordinates, steering blocks
+    # and buffer from their pins; _ptr sees only the arrays made per call
+    dom = generate_domain("half_plane:width=8,depth=8,h=0.1,conn=8")
+    view = deform(dom, WeightFunction.power(2)).view
+
+    def queries(i):  # small runs: none renews the buffer
+        a, b, c, d = (dom.index(dom.nearest_vertex(x, y)) for x, y in (
+            (0.1 * i, 0.2), (0.1 * i + 0.3, 0.4), (-0.2 * i, 0.3), (-0.2 * i - 0.5, 0.1)))
+        view.distance(a, b)
+        view.ball(c, 0.25)
+        view.nearest(b, view.frontier_idx, 0.0, ("frontier_field", -1))
+        view.geodesic(c, d)
+        _graphs.descend(view.full, view.frontier_field, a)
+
+    queries(0)  # warm: fields, steering blocks and buffer made and pinned
+    long_lived = [view.full.indptr, view.full.indices, view.full.data, view.boundary_mask,
+                  view.coords, view.frontier_field, view._buffer.dist, view._buffer.order,
+                  *view._steers.values()]
+    seen, ptr = [], _graphs._ptr
+
+    def recorded(arr, dtype, size=0):
+        seen.append(arr)
+        return ptr(arr, dtype, size)
+
+    monkeypatch.setattr(_graphs, "_ptr", recorded)
+    for i in range(1, 6):
+        queries(i)
+    assert seen  # the per-call arrays: stop members and offsets, walk buffers
+    assert not [a for a in seen if any(a is b for b in long_lived)]
+    assert view._buffer.dist is long_lived[6]  # no run overflowed and renewed it
