@@ -132,7 +132,8 @@ double cd_kappa(int32_t n, const int32_t *indptr, const int32_t *indices,
  * is read only for t >= 0 and kappa > 0.
  * The run stops once the least key exceeds c = min(dist[v] + offset) over
  * the stop members settled so far; every vertex it did not settle then
- * reads inf, so without a goal dist is that of limit = c.
+ * reads inf, so without a goal dist is that of limit = c.  Where stop_value
+ * is not null, c goes there as the run ends (inf when no member settled).
  * The first n_order vertices it settles go to order, in settling order.
  * Returns the number of vertices settled, -1 when out of memory, or -2,
  * before it reads any array, when a root or a stop member is not in
@@ -149,7 +150,7 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
                     const double *offset, double *dist, int32_t n_order,
                     int32_t *order, int32_t n_field, const double *field,
                     const double *xy, int64_t t, double kappa,
-                    const uint8_t *blocked, void *scratch)
+                    const uint8_t *blocked, void *scratch, double *stop_value)
 {
     if (t < -1 || t >= n)
         return -2;
@@ -221,6 +222,8 @@ int32_t cd_dijkstra(int32_t n, const int32_t *indptr, const int32_t *indices,
     }
     for (int32_t k = 0; k < size; k++)  /* tentative values of a stopped run */
         dist[heap[k].v] = INFINITY;
+    if (stop_value)
+        *stop_value = c;
     if (!scratch)
         free(pos), free(slot), free(heap);
     return settled;

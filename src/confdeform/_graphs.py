@@ -51,7 +51,7 @@ def _load_kernel():
         return None
     i32, i64, f64, p = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     kernel.cd_dijkstra.argtypes = [i32, p, p, p, i32, p, f64, i32, p, p, p, i32, p,
-                                   i32, p, p, i64, f64, p, p]
+                                   i32, p, p, i64, f64, p, p, p]
     kernel.cd_kappa.argtypes, kernel.cd_kappa.restype = [i32, p, p, p, p], f64
     kernel.cd_walk.argtypes = [i32, p, p, p, p, i64, i32, p, p]
     kernel.cd_scan.argtypes = [ctypes.c_char_p, i64, p, p, p, p, p, p, p]
@@ -165,8 +165,9 @@ def distances_from(adj, source, limit=np.inf, stop=None, into=None, goal=None, b
     ``_dijkstra.c``; fields: a C-contiguous float64 ``(n,)`` array or
     ``(n, k)`` block, one row per vertex), exact where it settled.
     ``into``, a :class:`RunBuffer`, takes the distances in place of a new
-    array.  ``blocked``, a bool mask, gives the run on
-    ``drop_incident_edges(adj, blocked)``.  ``scratch``, a float64 array of
+    array, and the kernel's ``c`` as its ``stop_value``.  ``blocked``, a
+    bool mask, gives the run on ``drop_incident_edges(adj, blocked)``.
+    ``scratch``, a float64 array of
     ``3 n`` entries that one run at a time may use, holds the kernel's heap
     in place of its own allocation.  scipy, run where the kernel cannot,
     ignores ``stop``, ``into``, ``goal`` and ``scratch``.
@@ -245,7 +246,8 @@ def min_distance_field(adj, sources, blocked=None):
 class RunBuffer:
     """An all-``inf`` distance array that kernel runs fill in place of a new
     one, with the first ``order.size`` vertices the latest run settled and
-    how many it settled, so the next run can undo just those.  Whoever
+    how many it settled, so the next run can undo just those, and, after a
+    kernel run with stop members, its stop value ``c`` (else None).  Whoever
     keeps one across calls pins its arrays to the matrix it runs on
     (:func:`_pin`), so that a call takes no address of theirs.
 
@@ -257,6 +259,7 @@ class RunBuffer:
 
     def __init__(self, n_vertices, capacity):
         self.shape = (n_vertices, capacity)
+        self.stop_value = None
         self.renew()
 
     def renew(self):
@@ -274,7 +277,7 @@ class RunBuffer:
         ran or they overflowed the order, and ``dist`` is then an array of
         its own; a clean one, pinned to ``adj``, takes its place here."""
         self.dist[self.order[:self.settled]] = np.inf
-        self.settled = 0
+        self.settled, self.stop_value = 0, None
         dist = distances_from(adj, root, into=self, **run)
         if self.settled > self.order.size:
             self.renew()
@@ -337,6 +340,7 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocke
         n_stop, at_members, at_offsets = len(members), _ptr(members, "i8"), _ptr(offsets, "f8")
     dist = np.full(n, np.inf) if into is None else into.dist
     n_order = 0 if into is None else len(into.order)
+    stop_value = None if into is None or members is None else ctypes.c_double()
     settled = _kernel.cd_dijkstra(
         *csr.args, n_root, at_roots, limit, n_stop, at_members, at_offsets,
         csr.at(dist, "f8", n), n_order, csr.at(into.order, "i4") if n_order else None,
@@ -344,13 +348,15 @@ def _distances(adj, roots, limit=np.inf, stop=None, into=None, goal=None, blocke
         None if fields is None else csr.at(fields, "f8"),
         None if xy is None else csr.at(xy, "f8", 2 * n), _int64(target), kappa,
         None if blocked is None else csr.at(blocked, "?", n),
-        None if scratch is None else csr.at(scratch, "f8", 3 * n))
+        None if scratch is None else csr.at(scratch, "f8", 3 * n),
+        None if stop_value is None else ctypes.byref(stop_value))
     if settled < 0:
         if settled == -2:
             raise IndexError(f"vertex index out of range for {n} vertices")
         raise MemoryError("no memory for a Dijkstra run")
     if into is not None:
         into.settled = settled
+        into.stop_value = None if stop_value is None else stop_value.value
     return dist
 
 
@@ -638,7 +644,9 @@ class MetricView:
                 return last[3], c
         steer = goal and _kernel and self._goal(*goal)  # scipy ignores goals
         dist = self._buffered(root, stop=(members, offsets), goal=steer)[0]
-        c = float((dist[members] + offsets).min(initial=np.inf))
+        c = self._buffer.stop_value  # the kernel's: each member's g + offset, as numpy adds
+        if c is None:  # scipy ran
+            c = float((dist[members] + offsets).min(initial=np.inf))
         self._last = (root, goal, -np.inf if steer else c, dist)
         return dist, c
 

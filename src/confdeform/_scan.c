@@ -6,9 +6,13 @@
  * declines everything else: the caller then reads the file with json.load,
  * whose errors, and from_dict's, stay the ones reported.  Integers of at most
  * 18 digits are built digit by digit.  Other numbers are checked against the
- * JSON grammar and converted by strtod, which rounds correctly as Python's
- * float does; an integer where a float belongs converts as Python converts
- * an int, so -0 reads +0.0.  Every value is bitwise the one json.load gives.
+ * JSON grammar; a decimal of at most 15 significant digits and 22 fraction
+ * digits, without an exponent, is one division of two exact doubles
+ * (Clinger, 1990), and any other number goes to strtod, unless its bytes
+ * are those of the number strtod read last, whose value it takes.  Both
+ * round correctly, as Python's float does; an integer where a float belongs
+ * converts as Python converts an int, so -0 reads +0.0.  Every value is
+ * bitwise the one json.load gives.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -23,6 +27,9 @@ typedef struct {
     int64_t room[5], n[5];  /* per array: capacity on entry, values read */
     int64_t *ids, *ends, *marks[2];
     double *xy, *lengths;
+    char last[64];  /* the latest token strtod read, last_len bytes, and its value */
+    size_t last_len;
+    double last_value;
 } scan;
 
 /* Skip JSON whitespace; the next byte, or -1 at the end. */
@@ -87,11 +94,48 @@ static int integer(scan *s, int64_t *v)
     return number(s, v) == 0;
 }
 
-/* A number into *x, unless x is NULL (the counting pass); tokens of 64 bytes
- * or more are declined. */
+/* 10^k for k <= 22: the powers of ten a double holds exactly (5^22 < 2^53). */
+static const double exact10[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* The JSON number [-]digits.digits in [p, end) into *x when its
+ * significant digits (from the first nonzero one) are at most 15 and its
+ * fraction digits k at most 22: the digits m < 10^15 < 2^53 and 10^k are
+ * exact doubles, so the one division m / 10^k rounds the token's exact
+ * value correctly.  0 for any other number, one with an exponent included
+ * (its 'e' is no digit). */
+static int decimal(const char *p, const char *end, double *x)
+{
+    int neg = *p == '-';
+    const char *q = p + neg, *dot, *sig;
+    int64_t m = 0;
+    for (dot = q; dot < end && *dot != '.'; dot++)
+        ;
+    if (dot == end || end - dot - 1 > 22)
+        return 0;
+    for (sig = q; sig < end && (*sig == '0' || *sig == '.'); sig++)
+        ;
+    if (end - sig - (sig < dot) > 15)
+        return 0;
+    for (; q < end; q++) {
+        if (*q == '.')
+            continue;
+        if (*q < '0' || *q > '9')
+            return 0;
+        m = 10 * m + (*q - '0');
+    }
+    *x = (double)m / exact10[end - dot - 1];
+    if (neg)
+        *x = -*x;
+    return 1;
+}
+
+/* A number into *x, unless x is NULL (no room left for it); tokens of 64
+ * bytes or more are declined. */
 static int real(scan *s, double *x)
 {
-    char token[64], *stop;
+    char *stop;
     int64_t v;
     int kind;
     const char *first;
@@ -100,15 +144,22 @@ static int real(scan *s, double *x)
     first = s->p;
     kind = number(s, &v);
     len = (size_t)(s->p - first);
-    if (kind < 0 || len >= sizeof token)
+    if (kind < 0 || len >= sizeof s->last)
         return 0;
-    if (x && kind == 0)
+    if (!x)
+        return 1;
+    if (kind == 0)
         *x = (double)v;
-    else if (x) {
-        memcpy(token, first, len);
-        token[len] = '\0';
-        *x = strtod(token, &stop);
-        return stop == token + len;
+    else if (len == s->last_len && !memcmp(first, s->last, len))
+        *x = s->last_value;  /* compared first: a repeat costs no parse */
+    else if (!decimal(first, s->p, x)) {
+        memcpy(s->last, first, len);
+        s->last[len] = '\0';
+        s->last_len = 0;
+        *x = s->last_value = strtod(s->last, &stop);
+        if (stop != s->last + len)
+            return 0;
+        s->last_len = len;
     }
     return 1;
 }
@@ -231,8 +282,9 @@ static int skip(scan *s)
 /* Scan a domain file.  counts[] gives the room in each array (vertices, xy
  * pairs, edges, boundary, frontier) and returns the values found there,
  * with the byte span of "meta" in its last two slots (-1 when absent).
- * Arrays with no room are only counted, so a first pass with zero room
- * sizes the second.  Returns 0, or -1 where it declines the bytes. */
+ * Values past an array's room are only counted: a count above the room
+ * means that array holds its first values only, and zero room counts.
+ * Returns 0, or -1 where it declines the bytes. */
 int cd_scan(const char *buf, int64_t len, int64_t *counts, int64_t *ids,
             double *xy, int64_t *ends, double *lengths, int64_t *boundary,
             int64_t *frontier)
@@ -240,7 +292,7 @@ int cd_scan(const char *buf, int64_t len, int64_t *counts, int64_t *ids,
     static const char *const names[] = {"boundary", "edges", "frontier",
                                         "meta", "vertices", NULL};
     scan s = {buf, buf + len, {0}, {0}, ids, ends, {boundary, frontier},
-              xy, lengths};
+              xy, lengths, {0}, 0, 0.0};
     int seen = 0, i, ok;
     memcpy(s.room, counts, sizeof s.room);
     counts[META_AT] = counts[META_END] = -1;

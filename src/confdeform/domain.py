@@ -22,6 +22,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import mmap
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -198,7 +199,7 @@ class MetricDomain:
     # -- validation and I/O -------------------------------------------------
 
     def validate(self):
-        self._by_id  # the one sort of the ids rejects an empty or repeating list
+        self._by_id  # rejects an empty or repeating id list
         n = self.n_vertices
         if self.coords is not None and self.coords.shape != (n, 2):
             raise DomainError("coords must be an (n, 2) array")
@@ -303,12 +304,22 @@ def _reals(values, what):
 
 
 def _id_lookup(ids, bulk=False):
-    """Map int64 id arrays to indices: one sort, then a binary search per id
-    through the sort order, the one array the lookup keeps (``bulk``: through
-    the sorted ids, one random read per probe, not two).  An empty or
-    repeating id list is rejected; the first unknown id is named."""
-    if len(ids) == 0:
+    """Map int64 id arrays to indices.  Ids equal to their rows, as on every
+    generated domain and every file saved from one, map by a range check;
+    others by one sort, then a binary search per id through the sort order,
+    the one array the lookup keeps (``bulk``: through the sorted ids, one
+    random read per probe, not two).  An empty or repeating id list is
+    rejected; the first unknown id is named."""
+    n = len(ids)
+    if n == 0:
         raise DomainError("domain has no vertices")
+    if ids[0] == 0 and ids[-1] == n - 1 and (ids == np.arange(n)).all():
+        def identity(vids, unknown_msg):
+            unknown = vids.view(np.uint64) >= n  # a negative id wraps past n
+            if unknown.any():
+                raise DomainError(f"{unknown_msg} {vids[unknown.argmax()]}")
+            return vids
+        return identity
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     if (sorted_ids[1:] == sorted_ids[:-1]).any():
@@ -316,7 +327,7 @@ def _id_lookup(ids, bulk=False):
     keys, sorter = (sorted_ids, None) if bulk else (ids, order)
 
     def lookup(vids, unknown_msg):
-        rows = order[np.minimum(np.searchsorted(keys, vids, sorter=sorter), len(ids) - 1)]
+        rows = order[np.minimum(np.searchsorted(keys, vids, sorter=sorter), n - 1)]
         unknown = ids[rows] != vids
         if unknown.any():
             raise DomainError(f"{unknown_msg} {vids[unknown.argmax()]}")
@@ -381,29 +392,59 @@ def _from_columns(ids, coords, edge_u, edge_v, edge_len, boundary, frontier,
     )
 
 
+# The fewest bytes a record of each list of _scan.c's counts takes, so that
+# a file of b bytes holds at most b // _LEAST_BYTES of them: {"id":0},
+# {"id":0,"xy":[0,0]}, [0,1,1] and its comma, a marker and its comma.
+_LEAST_BYTES = np.array([8, 19, 8, 2, 2])
+# The most records a list gets room for, which keeps each mapping within
+# 1 GiB of address space: a longer list is counted, then read again with
+# exactly its room.
+_MAX_ROOM = 1 << 26
+
+
+def _mapped(shape, dtype):
+    """An uninitialised array in a private anonymous mapping of its own,
+    whose pages the system backs only once they are written, a page at a
+    time: room never written costs no memory.  ``np.empty`` asks for
+    transparent huge pages on arrays of 4 MB or more, so its room would
+    fault in 2 MB at a time."""
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
 def _scan(path):
     """The columns of :func:`_from_columns` as the C scanner reads them from
-    the file's bytes, or None where it declines them (or did not load)."""
+    the file's bytes, or None where it declines them (or did not load).
+    One pass fills arrays with room for as many records as the bytes can
+    hold; a list that outgrew its room (only past ``_MAX_ROOM``) is read
+    again with exactly the room it needs, never returned part filled."""
     kernel = _graphs._kernel
     if kernel is None:
         return None
     with open(path, "rb") as fh:
         raw = fh.read()
     counts = np.zeros(7, np.int64)
-    for _ in range(2):  # count, then fill arrays of exactly those sizes
-        n_ids, n_xy, n_edges, n_boundary, n_frontier = counts[:5]
-        cols = (np.empty(n_ids, np.int64), np.empty((n_xy, 2)),
-                np.empty((n_edges, 2), np.int64), np.empty(n_edges),
-                np.empty(n_boundary, np.int64), np.empty(n_frontier, np.int64))
-        dtypes = ("i8", "i8", "f8", "i8", "f8", "i8", "i8")
+    counts[:5] = np.minimum(len(raw) // _LEAST_BYTES, _MAX_ROOM)
+    dtypes = ("i8", "i8", "f8", "i8", "f8", "i8", "i8")
+    for _ in range(2):
+        room = counts[:5].copy()
+        n_ids, n_xy, n_edges, n_boundary, n_frontier = room.tolist()
+        cols = (_mapped(n_ids, "i8"), _mapped((n_xy, 2), "f8"),
+                _mapped((n_edges, 2), "i8"), _mapped(n_edges, "f8"),
+                _mapped(n_boundary, "i8"), _mapped(n_frontier, "i8"))
         if kernel.cd_scan(raw, len(raw), *map(_graphs._ptr, (counts, *cols), dtypes)):
             return None
+        if (counts[:5] <= room).all():
+            break
     at, end = counts[5:]
     try:
         meta = {} if at < 0 else json.loads(raw[at:end].decode("ascii"))
     except ValueError:  # not ASCII, or not JSON
         return None
-    ids, coords, ends, edge_len, boundary, frontier = cols
+    # the filled part of each array: edge ends and lengths share a count
+    ids, coords, ends, edge_len, boundary, frontier = (
+        col[:k] for col, k in zip(cols, counts[[0, 1, 2, 2, 3, 4]]))
     return ids, coords, ends[:, 0], ends[:, 1], edge_len, boundary, frontier, meta
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confdeform import _graphs
+from confdeform import domain as domain_module
 from confdeform.domain import (
     DomainError,
     MetricDomain,
@@ -247,3 +248,117 @@ def test_saved_files_never_reach_json_load(tmp_path, monkeypatch):
             path = tmp_path / f"{n}.json"
             dom.save(path)
             assert load_domain(path).to_dict() == dom.to_dict()
+
+
+# -- the scanner's decimal path, its token reuse and its room ----------------
+
+
+def _scans(monkeypatch):
+    """Record every ``cd_scan`` call of the loaded kernel; the list grows per call."""
+    calls, real = [], _graphs._kernel.cd_scan
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(_graphs._kernel, "cd_scan", counted)
+    return calls
+
+
+# (tokens, why): read in this order, as vertex coordinates
+TOKENS = [
+    (["0.123456789012345", "-98765.4321098765", "123456789.012345"],
+     "15 significant digits: one exact division"),
+    (["0.9007199254740993", "1234567890.123457"],
+     "16 significant digits: 9007199254740993 is no double, so strtod"),
+    (["0.0000000000000000000001", "-0.0000000000000000000017"], "exponent -22"),
+    (["0.00000000000000000000001", "0.00000000000000000000007"],
+     "exponent -23: 1 / 1e23 rounds twice, so strtod"),
+    (["-0.0", "5.0", "-7.000", "10.50"], "-0.0 and integers spelled with .0"),
+    (["1.5e3", "2E-2", "1e22", "3.0e-1", "0.5e+1", "1e23", "123456789012345e-22"],
+     "exponents go to strtod"),
+    (["0.14142135623730953", "0.14142135623730951", "0.14142135623730953",
+      "0.14142135623730953", "0.5", "0.14142135623730953", "0.14142135623730951"],
+     "tokens strtod read in a row, of one length: reuse compares bytes"),
+]
+
+
+@pytest.mark.parametrize("tokens", [t for t, _ in TOKENS], ids=[w for _, w in TOKENS])
+def test_decimal_path_and_token_reuse_read_bitwise(tmp_path, tokens):
+    # vertex coordinates, in file order, with a 0 to fill the last pair
+    xy = np.array(tokens + ["0"] * (len(tokens) % 2)).reshape(-1, 2)
+    vertices = ",".join(f'{{"id":{i},"xy":[{x},{y}]}}' for i, (x, y) in enumerate(xy))
+    edges = ",".join(f"[{i},{i + 1},1]" for i in range(len(xy) - 1))
+    path = tmp_path / "dom.json"
+    path.write_text(f'{{"vertices":[{vertices}],"edges":[{edges}],"boundary":[0]}}')
+    taken, (cols, _) = _both(path)
+    assert taken and cols != "error"
+    assert cols[1][2] == np.array([float(json.loads(t)) for t in xy.ravel()]).tobytes()
+
+
+@pytest.mark.parametrize("layout", [
+    '{"boundary":[%s],"edges":[],"vertices":[{"id":0}]}' % ",".join(["0"] * 500),
+    '{"boundary":[0],"edges":[],"frontier":[%s],"vertices":[{"id":0}]}'
+    % ",".join(["1"] * 500),
+    '{"boundary":[0],"edges":[%s],"vertices":[{"id":0}]}' % ",".join(["[0,1,1]"] * 500),
+    '{"boundary":[0],"edges":[],"vertices":[%s]}'
+    % ",".join(f'{{"id":{i % 10}}}' for i in range(500)),
+    '{"boundary":[0],"edges":[],"vertices":[%s]}'
+    % ",".join(f'{{"id":{i % 10},"xy":[0,0]}}' for i in range(500)),
+], ids=["boundary", "frontier", "edges", "vertices", "xy"])
+def test_densest_lists_fit_their_room(tmp_path, monkeypatch, layout):
+    # each list at its fewest bytes a record, no whitespace: one pass fills it
+    path = tmp_path / "dense.json"
+    path.write_text(layout)
+    calls = _scans(monkeypatch)
+    cols = _scan(path)
+    assert cols is not None and len(calls) == 1
+    assert max(map(len, cols[:7])) == 500
+
+
+def test_saved_files_scan_once(tmp_path, monkeypatch):
+    d = generate_domain(SPECS[0])
+    d.save(tmp_path / "saved.json")
+    calls = _scans(monkeypatch)
+    assert _columns(load_domain(tmp_path / "saved.json")) == _columns(d)
+    assert len(calls) == 1
+
+
+def test_a_list_past_its_room_is_read_again(tmp_path, monkeypatch):
+    # no list comes back part filled: the second pass has exactly its room
+    d = generate_domain(SPECS[2])
+    d.save(tmp_path / "saved.json")
+    monkeypatch.setattr(domain_module, "_MAX_ROOM", 3)
+    calls = _scans(monkeypatch)
+    assert _columns(load_domain(tmp_path / "saved.json")) == _columns(d)
+    assert len(calls) == 2
+
+
+# an edge end, boundary marker or frontier marker naming a vertex no file has
+UNKNOWN_IDS = [
+    ("edge_end_n", lambda r, n: r["edges"][3].__setitem__(1, n)),
+    ("edge_end_minus_1", lambda r, n: r["edges"][5].__setitem__(0, -1)),
+    ("boundary_n", lambda r, n: r["boundary"].append(n)),
+    ("boundary_minus_1", lambda r, n: r["boundary"].insert(1, -1)),
+    ("frontier_n", lambda r, n: r["frontier"].insert(0, n)),
+    ("frontier_minus_1", lambda r, n: r["frontier"].append(-1)),
+]
+
+
+@pytest.mark.parametrize("edit", [e for _, e in UNKNOWN_IDS], ids=[i for i, _ in UNKNOWN_IDS])
+def test_identity_ids_name_unknown_ids_as_shuffled_ones_do(tmp_path, edit):
+    # ids equal to their rows map by a range check, others by a sort: the
+    # same file under a permutation of its vertex records raises the same error
+    d = generate_domain(SPECS[0])
+    record = d.to_dict()
+    edit(record, d.n_vertices)
+    shuffled = dict(record, vertices=[record["vertices"][i] for i in
+                                      np.random.default_rng(2).permutation(d.n_vertices)])
+    errors = []
+    for name, r in (("identity", record), ("shuffled", shuffled)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(r, separators=(",", ":")))
+        taken, (cols, message) = _both(tmp_path / f"{name}.json")
+        assert taken and cols == "error"
+        errors.append(message)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("edge or marker refers to unknown vertex id ")

@@ -431,6 +431,25 @@ def test_kernel_equals_scipy_on_deep_heaps():
                                                     indices=root, limit=c)), name
 
 
+def test_stopped_runs_hand_back_their_stop_value():
+    # the kernel's c is numpy's least dist[m] + offset, bit for bit: a
+    # repeated member counts at its least offset, an unreached one adds inf
+    rng = np.random.default_rng(12)
+    for name, adj, d, blocked in _deep_graphs():
+        buf = _graphs.RunBuffer(adj.shape[0], 64)
+        for root in rng.choice(adj.shape[0], 4, replace=False):
+            members = rng.choice(adj.shape[0], 6)
+            members = np.concatenate([members, members[:3], d.boundary_idx[:2]])
+            offsets = rng.uniform(0.0, 1.0, members.size)
+            dist, _ = buf.run(adj, root, stop=(members, offsets), blocked=blocked)
+            assert buf.stop_value == np.min(dist[members] + offsets), name
+        unreached = d.boundary_idx[d.boundary_idx != root][:3]
+        buf.run(adj, root, stop=(unreached, 0.5), blocked=d.boundary_mask)
+        assert buf.stop_value == np.inf, name
+        buf.run(adj, root, limit=1.0)  # no stop members: no stop value
+        assert buf.stop_value is None, name
+
+
 def test_min_distance_field_falls_back_to_scipy(monkeypatch):
     # the slit plane's interior matrix, then its full one with the mask
     cases = _deep_graphs()[4:]
