@@ -206,9 +206,7 @@ def runs_from(adj, roots, limits=np.inf, blocked=None):
         return
     blocks = queue.SimpleQueue()  # no more runs in flight than blocks: none waits
     for _ in range(workers):
-        block = np.empty(3 * csr.args[0])
-        csr.pin(block)
-        blocks.put(block)
+        blocks.put(np.empty(3 * csr.args[0]))
 
     def run(root, limit, into):
         scratch = blocks.get()
@@ -492,8 +490,8 @@ class MetricView:
     steered toward the target (:meth:`_goal`) and stopped at its value: the
     least ``dist[u] + w(u, t)`` over its neighbours in the full CSR (where
     other boundary vertices hold ``inf``), for interior and boundary targets
-    alike; paths are extracted there too.  Pair answers and the latest run
-    are kept, no array per root (5 MB each at 641k vertices).
+    alike; paths are extracted there too.  Pair answers are kept, no array
+    per root (5 MB each at 641k vertices).
 
     The pair potential is the largest of ``|f[v] - f[t]|`` over the columns
     of ``pair_fields`` and the chord bound.  That ``(n, 1 + landmarks)``
@@ -509,8 +507,11 @@ class MetricView:
     run that settles a few vertices costs that few, not ``n``: before the
     next run the view resets the entries the latest one settled.  A run
     that settled more than ``n / 16`` (cheaper to replace than to undo
-    entry by entry) keeps its array as the latest run, and a clean one
-    takes its place in the same call.
+    entry by entry) keeps its array, and a clean one takes its place in
+    the same call.  One reuse rule: the view reads back only the latest
+    stopped run it made (:meth:`nearest`), in its buffer or that kept
+    array, and only for a stopped query with the same root and goal.
+    What :meth:`run` and :meth:`runs` return is the caller's alone.
     """
 
     MEMO_SIZE = 256
@@ -524,13 +525,15 @@ class MetricView:
         self.coords = None if coords is None else np.ascontiguousarray(coords, float)
         _pin(self.full, boundary_mask, self.coords)
         self._memo = {}  # (root, other) -> distance, oldest first
-        self._last = None  # (root, goal, radius up to which it is exact, dist)
+        self._last = None  # (root, goal, dist) of the latest stopped run
         self._steers = {}  # field name -> the block of its fields that may steer, or None
         self.landmarks = landmarks
 
     @cached_property
     def boundary_field(self):  # through the boundary is never shorter
-        return min_distance_field(self.full, np.flatnonzero(self.boundary_mask))
+        field = min_distance_field(self.full, np.flatnonzero(self.boundary_mask))
+        field.flags.writeable = False  # as every field the view hands out
+        return field
 
     @cached_property
     def pair_fields(self):
@@ -551,6 +554,7 @@ class MetricView:
                 np.copyto(near, block[:, 1])
             else:
                 np.minimum(near, block[:, i], out=near)
+        block.flags.writeable = False
         self.boundary_field = block[:, 0]
         return block
 
@@ -559,6 +563,7 @@ class MetricView:
     @cached_property
     def frontier_field(self):  # escapes walk it
         field = min_distance_field(self.full, self.frontier_idx, self.boundary_mask)
+        field.flags.writeable = False
         _pin(self.full, field)
         return field
 
@@ -595,21 +600,14 @@ class MetricView:
 
     def run(self, root, limit=np.inf):
         """Distances from ``root`` through the open domain, up to ``limit``,
-        in a new array the caller owns."""
-        dist = distances_from(self.full, root, limit, blocked=self.boundary_mask)
-        self._last = (int(root), None, limit, dist)
-        return dist
+        in a new array the caller owns; the view keeps no hold on it."""
+        return distances_from(self.full, root, limit, blocked=self.boundary_mask)
 
     def runs(self, roots, limits=np.inf):
         """The arrays of :meth:`run` from each of ``roots``, up to its entry
         of ``limits`` (one limit for all, or one per root), yielded in root
-        order by :func:`runs_from`; each becomes the latest run as it is
-        yielded, as after serial :meth:`run` calls."""
-        roots = [int(r) for r in roots]
-        limits = np.broadcast_to(limits, (len(roots),))
-        for i, dist in enumerate(runs_from(self.full, roots, limits, self.boundary_mask)):
-            self._last = (roots[i], None, limits[i], dist)
-            yield dist
+        order by :func:`runs_from`; the caller owns them, as :meth:`run`'s."""
+        return runs_from(self.full, roots, limits, self.boundary_mask)
 
     def ball(self, root, limit):
         """(vertices, distances) of the vertices a run from ``root`` through
@@ -617,37 +615,32 @@ class MetricView:
         in new arrays the caller owns: the run fills the view's buffer and
         hands out the vertices it settled (in settling order, or by index
         where they overflow the buffer's order or scipy ran)."""
-        root = int(root)
-        dist, settled = self._buffered(root, limit=limit)
-        self._last = (root, None, limit, dist)
+        self._last = None  # the buffer holds no stopped run now
+        dist, settled = self._buffer.run(self.full, root, limit=limit,
+                                         blocked=self.boundary_mask)
         vertices = (np.flatnonzero(np.isfinite(dist)) if settled is None
                     else settled.astype(np.int64))
         return vertices, dist[vertices]
-
-    def _buffered(self, root, **run):
-        """:meth:`RunBuffer.run` of a run from ``root`` through the open domain
-        into the view's buffer."""
-        return self._buffer.run(self.full, root, blocked=self.boundary_mask, **run)
 
     def nearest(self, root, members, offsets=0.0, goal=None):
         """(dist, c) of a run from ``root`` stopped at the least ``c = dist[m]
         + offset`` over the members, exact up to ``c`` (``inf`` when no member
         is reached), or steered by ``goal`` (:meth:`_goal`'s arguments), exact
-        where it settled; the latest run answers when it is exact that far or
-        has the same root and goal.  ``dist`` may be the view's buffer: valid
-        until the view's next run, and not to be written."""
+        where it settled.  The next such query with the same root and goal,
+        not None, reads ``c`` back from this run (a geodesic after its
+        pair's distance, a repeated escape).  ``dist`` may be the view's
+        buffer: valid until the view's next run, and not to be written."""
         root, last = int(root), self._last
-        if last is not None and last[0] == root:
-            _check_range(len(last[3]), members)  # numpy reads a negative index from the end
-            c = float((last[3][members] + offsets).min(initial=np.inf))
-            if c <= last[2] or (goal is not None and goal == last[1]):
-                return last[3], c
+        if goal is not None and last is not None and last[:2] == (root, goal):
+            _check_range(len(last[2]), members)  # numpy reads a negative index from the end
+            return last[2], float((last[2][members] + offsets).min(initial=np.inf))
         steer = goal and _kernel and self._goal(*goal)  # scipy ignores goals
-        dist = self._buffered(root, stop=(members, offsets), goal=steer)[0]
+        dist = self._buffer.run(self.full, root, stop=(members, offsets), goal=steer,
+                                blocked=self.boundary_mask)[0]
         c = self._buffer.stop_value  # the kernel's: each member's g + offset, as numpy adds
         if c is None:  # scipy ran
             c = float((dist[members] + offsets).min(initial=np.inf))
-        self._last = (root, goal, -np.inf if steer else c, dist)
+        self._last = (root, goal, dist)
         return dist, c
 
     def distance(self, ia, ib):

@@ -198,8 +198,10 @@ def subcurve_excess_ratio(curve, metric="phi"):
     the same constant; this measures how far prefixes and suffixes stray.
     Endpoint distances for the subcurves come from two rooted runs, one per
     curve end, bounded by the curve's length, which no subcurve's endpoint
-    distance exceeds.  The run from the smaller index, made last, is exact
-    that far, so it also answers the whole-curve distance.
+    distance exceeds.  The run from the smaller index is exact that far, so
+    it also gives the whole-curve distance by a pair query's stop value,
+    ``min(dist[u] + w(u, t))`` over the row of the other end ``t``: bitwise
+    what :meth:`MetricView.distance` answers, with no pair query.
     """
     if curve.to_infinity:
         raise CurveError("subcurve scan expects a two-endpoint curve")
@@ -212,10 +214,12 @@ def subcurve_excess_ratio(curve, metric="phi"):
     # summed in another order a few ulps above the length
     bound = max(total, left[-1]) * (1.0 + 1e-9)
     a, b = int(curve.vertices[0]), int(curve.vertices[-1])
-    ends = sorted({a, b}, reverse=True)
+    ends = sorted({a, b})
     dist = dict(zip(ends, view.runs(ends, bound)))
-    whole = uniformity_constant(curve, metric,
-                                endpoint_distance=view.distance(a, b))
+    row = slice(view.full.indptr[ends[-1]], view.full.indptr[ends[-1] + 1])
+    d_ab = 0.0 if a == b else float(
+        (dist[ends[0]][view.full.indices[row]] + view.full.data[row]).min(initial=np.inf))
+    whole = uniformity_constant(curve, metric, endpoint_distance=d_ab)
     clearance = bvals[curve.vertices]
     worst = whole
     # windows [lo..hi]: the prefixes [0..i], then the suffixes [i..n-1]

@@ -518,7 +518,7 @@ def test_out_of_range_indices_raise_before_a_run(kernel, monkeypatch):
             _graphs.distances_from(adj, 0, stop=stop, into=buf,
                                    goal=(np.zeros(4), None, bad, 0.0))
         assert np.isinf(buf.dist).all() and buf.settled == 0
-    # a view's stopped runs, fresh and when the latest run would answer
+    # a view's stopped runs, fresh and after a run the view never reads back
     dom = generate_domain("half_plane:width=2,depth=2,h=0.5,conn=8")
     view = dom.view
     x = int(np.flatnonzero(~dom.boundary_mask)[0])
@@ -527,7 +527,7 @@ def test_out_of_range_indices_raise_before_a_run(kernel, monkeypatch):
             view.nearest(bad, np.array([x]))
         with pytest.raises(IndexError):
             view.nearest(x, np.array([bad]))
-        view.run(x)  # the latest run, from x
+        view.run(x)  # the caller's run, from x
         with pytest.raises(IndexError):
             view.nearest(x, np.array([x, bad]), 0.0)
         with pytest.raises(IndexError):

@@ -554,8 +554,8 @@ def test_returned_arrays_outlive_later_queries(warm):
     inner = dom.index(dom.nearest_vertex(0.5, 2.0))
     kept = [view.run(b1), view.run(inner, 1.0), *view.ball(inner, 0.1),
             _graphs.distances_from(view.interior, b3)]
-    # the last run above is the latest run: the boundary-target geodesic
-    # from b1 reads it, and puts its target's value in for the walk only
+    # the boundary-target geodesic from b1 puts its target's value into
+    # its own run for the walk only, and reads no array handed out here
     kept.append(view.run(b1))
     copies = [a.copy() for a in kept]
     assert view.geodesic(b1, b2)[1] is not None
@@ -568,14 +568,88 @@ def test_returned_arrays_outlive_later_queries(warm):
 
 
 @pytest.mark.parametrize("engine", ["kernel", "scipy"])
+def test_arrays_the_caller_owns_move_no_later_answer(engine, monkeypatch):
+    # zero what run and runs hand out: the pair queries rooted where they
+    # ran still answer as on a fresh domain
+    if engine == "scipy":
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    spec = "half_plane:width=4,depth=4,h=0.25,conn=8"
+    fresh = generate_domain(spec)
+    fresh_dd = deform(fresh, W2)
+    ends = [(0.5, 1.0), (2.0, 2.5), (-1.5, 0.0)]
+    ia, ib, foot = (fresh.index(fresh.nearest_vertex(*xy)) for xy in ends)
+    for get in (lambda view, root: view.run(root),
+                lambda view, root: next(view.runs([root]))):
+        dom = generate_domain(spec)
+        dd = deform(dom, W2)
+        for view, twin in ((dom.view, fresh.view), (dd.view, fresh_dd.view)):
+            for x, y in ((ia, ib), (ib, foot)):
+                get(view, min(x, y))[:] = 0.0
+                assert view.distance(x, y) == twin.distance(x, y) > 0.0
+                get(view, min(x, y))[:] = 0.0
+                got, want = view.geodesic(y, x), twin.geodesic(y, x)
+                assert got[0] == want[0] and _same(got[1], want[1])
+
+
+def test_fields_a_view_hands_out_are_read_only():
+    dom = half_plane(width=4, depth=4, h=0.25, conn=8)
+    dd = deform(dom, W2)
+    x = dom.nearest_vertex(0.0, 1.0)
+    want = dd.dist_to_infinity(x)
+    fields = [lambda: dd.boundary_field_phi, lambda: dd.frontier_field_phi,
+              lambda: dom.frontier_field, lambda: dd.view.pair_fields,
+              lambda: dom.view.pair_fields, lambda: dom.view.boundary_field,
+              lambda: dd.boundary_field_phi]  # now column 0 of the block
+    for field in fields:
+        with pytest.raises(ValueError):
+            field()[:] = 0.0
+    assert dd.dist_to_infinity(x) == want
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scipy"])
+def test_only_the_latest_stopped_run_is_read_back(engine, monkeypatch):
+    # a geodesic right after its pair's distance, either way round, and a
+    # repeated escape read the latest stopped run; run and runs leave it
+    # in place, and a ball, which fills the buffer, drops it
+    if engine == "scipy":
+        monkeypatch.setattr(_graphs, "_kernel", None)
+    dom = half_plane(width=4, depth=8, h=0.25, conn=8)
+    dd = deform(dom, W2)
+    runs = _counted(monkeypatch, "distances_from")
+    ia, ib = dom.index(dom.nearest_vertex(-1.5, 6.0)), dom.index(dom.nearest_vertex(1.0, 0.5))
+    foot = int(dom.boundary_idx[5])
+    escape = ("frontier_field", -1)
+    for view in (dom.view, dd.view):
+        for x, y in ((ia, ib), (foot, ia)):
+            value = view.distance(x, y)
+            kept, before = view._last, len(runs)
+            view.run(x, 1.0)
+            list(view.runs([x, y], 1.0))
+            assert view._last is kept and len(runs) == before + 3
+            assert view.geodesic(x, y)[0] == view.geodesic(y, x)[0] == value
+            assert len(runs) == before + 3
+            view.ball(min(x, y), 0.5)
+            assert view._last is None
+            assert view.geodesic(x, y)[0] == value and len(runs) == before + 5
+        c = view.nearest(foot, view.frontier_idx, 0.0, escape)[1]
+        before = len(runs)
+        assert view.nearest(foot, view.frontier_idx, 0.0, escape)[1] == c
+        assert len(runs) == before
+        # the read-back range-checks its members as the kernel does
+        for bad in (-1, dom.n_vertices):
+            with pytest.raises(IndexError):
+                view.nearest(foot, np.array([ia, bad]), 0.0, escape)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scipy"])
 def test_balls_are_the_settled_part_of_runs(engine, monkeypatch):
     # a ball is the finite part of the run bounded at its limit, bitwise:
     # balls that fit the buffer's order (n / 16 = 35 vertices here) and
-    # balls past it, then pair queries that answer as on a fresh domain and
-    # read the ball's run when it is exact that far
+    # balls past it, then pair queries that answer as on a fresh domain,
+    # each by a run of its own: no ball's run is read back
     if engine == "scipy":
         monkeypatch.setattr(_graphs, "_kernel", None)
-    runs, reused = _counted(monkeypatch, "distances_from"), 0
+    runs = _counted(monkeypatch, "distances_from")
     spec = "half_plane:width=4,depth=8,h=0.25,conn=8"
     dom, fresh = generate_domain(spec), generate_domain(spec)
     dd, fresh_dd = deform(dom, W2), deform(fresh, W2)
@@ -605,14 +679,11 @@ def test_balls_are_the_settled_part_of_runs(engine, monkeypatch):
                 view.ball(root, limit)
                 before, value = len(runs), view.distance(ia, ib)
                 assert value == want
-                read = min(ia, ib) == root and value <= limit
-                assert len(runs) == before + (not read)
-                reused += read
+                assert len(runs) == before + 1
                 view.ball(root, limit)
                 got, want = view.geodesic(ib, ia), twin.geodesic(ib, ia)
                 assert got[0] == want[0] and _same(got[1], want[1])
         assert min(sizes) <= capacity < max(sizes)
-    assert reused
 
 
 def _subcurve_oracle(curve, metric):
@@ -896,16 +967,16 @@ def test_pooled_runs_equal_serial_runs(kernel, monkeypatch):
         for view in (dom.view, dd.view):
             for lims in (limits, 2.0):
                 each = np.broadcast_to(lims, roots.shape)
-                serial = [view.run(r, lim) for r, lim in zip(roots, each)]
+                view.distance(int(roots[0]), int(roots[1]))  # a stopped run to keep
                 want = view._last
-                view._last = None
+                serial = [view.run(r, lim) for r, lim in zip(roots, each)]
                 got = []
-                for dist in view.runs(roots, lims):  # root order, each the latest run
-                    assert view._last[0] == roots[len(got)] and view._last[3] is dist
+                for dist in view.runs(roots, lims):  # root order, none read back
+                    assert view._last is want
                     got.append(dist)
                 assert len(got) == len(serial)
                 assert all(_same(a, b) for a, b in zip(got, serial))
-                assert view._last[:3] == want[:3] and _same(view._last[3], want[3])
+                assert view._last is want and want is not None
         for adj, mat in zip(adjs, mats):
             assert _same(_graphs.pairwise_distances(adj, verts), mat)
 
